@@ -20,8 +20,8 @@ from .cluster import (
     allocate_dims,
     clustering_cost,
     em_multi_restart,
+    refit_step,
 )
-from .cluster import _refit  # per-cluster dims refit for --dims-auto
 from .errors import MessiError
 from .evalgen import (
     SweepSpec,
@@ -132,7 +132,7 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, q, init,
     clustering = em_multi_restart(a, k, j, opts, threads=obj["threads"])
     if dims_auto:
         dims = allocate_dims(a, clustering.assignment, k * j, k=k)
-        subspaces = _refit(a, clustering.assignment, dims)
+        subspaces = refit_step(a, clustering.assignment, k, dims)
         clustering = Clustering(
             k=k, assignment=clustering.assignment, subspaces=tuple(subspaces),
             cost=clustering_cost(a, clustering.assignment, subspaces, q), q=q,
@@ -142,7 +142,7 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, q, init,
         if progress:
             progress(f"reallocated dims: {dims}")
     # The factor blocks are plain projections regardless of q (assignment and
-    # SVD refit do not depend on it), so a q != 2 run is repackaged as its
+    # the Gram refit do not depend on it), so a q != 2 run is repackaged as its
     # q=2 view for the build; the bundle still records the q-cost of the run.
     if clustering.q != 2.0:
         build_view = Clustering(

@@ -3,10 +3,11 @@
 The objective: place k linear subspaces of dimension j so that the sum over
 rows of (distance to the nearest subspace)^q is minimal. Finding the global
 optimum is hard even in tiny dimensions, so `em_run` alternates a nearest-
-subspace assignment step with a per-cluster SVD refit, which never increases
-the q=2 cost, and `em_multi_restart` keeps the best of several seeded local
-minima. `brute_force` enumerates all row partitions and serves as a ground-
-truth oracle on small instances.
+subspace assignment step with a per-cluster refit from the top eigenvectors
+of the cluster's d x d Gram matrix X_c^T X_c, which never increases the q=2
+cost, and `em_multi_restart` keeps the best of several seeded local minima.
+`brute_force` enumerates all row partitions and serves as a ground-truth
+oracle on small instances.
 
 Randomness: every restart draws from its own PCG64 stream seeded with
 SeedSequence([seed, restart_index]), so results are independent of execution
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .linalg import Subspace, as_matrix, best_fit_subspace
+from .linalg import Subspace, _distances_sq, _row_norms_sq, as_matrix, best_fit_subspace
 
 INIT_METHODS = ("random-partition", "sampled-rows")
 
@@ -41,7 +42,8 @@ class EmOptions:
         "sampled-rows" seeds each subspace with the span of j sampled rows.
     q:
         cost exponent; the objective sums dist^q. Only q=2 has an exact refit
-        solver (SVD), so EM monotonicity is guaranteed for q=2 only.
+        solver (the Gram-matrix eigh M-step), so EM monotonicity is guaranteed
+        for q=2 only.
     """
 
     restarts: int = 16
@@ -116,30 +118,16 @@ def _check_subspaces(subspaces, d: int) -> tuple[Subspace, ...]:
     return subspaces
 
 
-def _dists_sq(points: np.ndarray, s: Subspace) -> np.ndarray:
-    """distances_sq without revalidating points (EM inner loop)."""
-    coeffs = points @ s.basis.T
-    d2 = np.einsum("ij,ij->i", points, points) - np.einsum("ij,ij->i", coeffs, coeffs)
-    return np.maximum(d2, 0.0)
+def _sum_pow(d2: np.ndarray, q: float) -> float:
+    """Sum of squared distances raised to q/2."""
+    return float(np.sum(d2 if q == 2.0 else d2 ** (q / 2.0)))
 
 
-def _cost(points: np.ndarray, a: np.ndarray, subspaces, q: float) -> float:
-    total = 0.0
-    for c, s in enumerate(subspaces):
-        rows = points[a == c]
-        if rows.shape[0] == 0:
-            continue
-        d2 = _dists_sq(rows, s)
-        if q == 2.0:
-            total += float(np.sum(d2))
-        else:
-            total += float(np.sum(d2 ** (q / 2.0)))
-    return total
-
-
-def _assign(points: np.ndarray, subspaces) -> np.ndarray:
-    dists = np.stack([_dists_sq(points, s) for s in subspaces], axis=1)
-    return np.argmin(dists, axis=1).astype(np.int64)
+def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces,
+                     q: float) -> tuple[np.ndarray, float]:
+    """Nearest-subspace assignment and its q-cost from one n x k distance pass."""
+    dists = np.stack([_distances_sq(points, norms_sq, s) for s in subspaces], axis=1)
+    return np.argmin(dists, axis=1).astype(np.int64), _sum_pow(np.min(dists, axis=1), q)
 
 
 def clustering_cost(points, assignment, subspaces, q: float = 2.0) -> float:
@@ -150,14 +138,18 @@ def clustering_cost(points, assignment, subspaces, q: float = 2.0) -> float:
     a = _check_assignment(assignment, n, len(subspaces))
     if not q > 0:
         raise ParameterError(f"q must be > 0, got {q}")
-    return _cost(points, a, subspaces, q)
+    total = 0.0
+    for c, s in enumerate(subspaces):
+        rows = points[a == c]
+        total += _sum_pow(_distances_sq(rows, _row_norms_sq(rows), s), q)
+    return total
 
 
 def assign_step(points, subspaces) -> np.ndarray:
     """Map each row to its nearest subspace; ties go to the lowest index."""
     points = as_matrix(points)
     subspaces = _check_subspaces(subspaces, points.shape[1])
-    return _assign(points, subspaces)
+    return _assign_and_cost(points, _row_norms_sq(points), subspaces, 2.0)[0]
 
 
 def _fit_cluster(rows: np.ndarray, dim: int, d: int) -> Subspace:
@@ -187,7 +179,8 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int]) -> list[
             if subspaces[c] is None:
                 continue
             mask = assignment == c
-            dists[mask] = _dists_sq(points[mask], subspaces[c])
+            rows = points[mask]
+            dists[mask] = _distances_sq(rows, _row_norms_sq(rows), subspaces[c])
         order = np.argsort(-dists, kind="stable")
         cursor = 0
         for c in empty:
@@ -200,21 +193,27 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int]) -> list[
     return subspaces  # type: ignore[return-value]
 
 
-def refit_step(points, assignment, k: int, j: int) -> list[Subspace]:
-    """Best-fit j-dim subspace of each cluster's rows (the q=2 M-step).
+def refit_step(points, assignment, k: int, j: int | list[int]) -> list[Subspace]:
+    """Best-fit subspace of each cluster's rows (the q=2 M-step).
 
-    Never increases the q=2 cost for a fixed assignment. Empty clusters are
-    reseeded from the rows currently farthest from their own fit; clusters
-    with rank below j get deterministically padded bases with zero energy.
+    j is one dimension for every cluster or a list of k per-cluster
+    dimensions. Never increases the q=2 cost for a fixed assignment. Empty
+    clusters are reseeded from the rows currently farthest from their own fit;
+    clusters with rank below their dimension get deterministically padded
+    bases with zero energy.
     """
     points = as_matrix(points)
     n, d = points.shape
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if not 1 <= j <= d:
-        raise ParameterError(f"j must lie in [1, {d}], got {j}")
+    dims = [j] * k if isinstance(j, (int, np.integer)) else list(j)
+    if len(dims) != k:
+        raise ParameterError(f"expected {k} per-cluster dims, got {len(dims)}")
+    for dim in dims:
+        if not 1 <= dim <= d:
+            raise ParameterError(f"j must lie in [1, {d}], got {dim}")
     a = _check_assignment(assignment, n, k)
-    return _refit(points, a, [j] * k)
+    return _refit(points, a, dims)
 
 
 def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
@@ -249,16 +248,15 @@ def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
             idx = rng.choice(n, size=min(j, n), replace=False)
             subspaces.append(best_fit_subspace(points[idx], j))
 
-    assignment = _assign(points, subspaces)
-    cost = _cost(points, assignment, subspaces, opts.q)
+    norms_sq = _row_norms_sq(points)
+    assignment, cost = _assign_and_cost(points, norms_sq, subspaces, opts.q)
     history = [cost]
     iterations = 0
     converged = False
     for _ in range(opts.max_iters):
         iterations += 1
         subspaces = _refit(points, assignment, [j] * k)
-        assignment = _assign(points, subspaces)
-        new_cost = _cost(points, assignment, subspaces, opts.q)
+        assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, opts.q)
         history.append(new_cost)
         improvement = (cost - new_cost) / max(cost, _COST_EPS)
         cost = new_cost

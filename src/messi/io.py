@@ -10,7 +10,8 @@ or fail loudly.
 
 A factorization bundle is a directory holding meta.json, assignment.npy and
 per-cluster u_i.npy / v_i.npy files; save writes to a temporary sibling and
-renames, so failures never leave a partial bundle behind.
+renames, so failures never leave a partial bundle behind. Save replaces only
+an empty directory or a previous bundle, never other data.
 """
 
 from __future__ import annotations
@@ -170,7 +171,10 @@ def save_bundle(
     """Serialize a factorization (plus clustering provenance) to a directory.
 
     The whole bundle is staged in a temporary sibling directory and renamed
-    into place, replacing any previous bundle at that path.
+    into place. An existing path must be an empty directory or a previous
+    bundle (a directory holding meta.json), else FormatError is raised and
+    the path is left as it was. A previous bundle is moved aside, the new
+    one renamed in, and only then is the old one deleted.
     """
     directory = os.fspath(directory)
     parent = os.path.dirname(os.path.abspath(directory)) or "."
@@ -196,12 +200,39 @@ def save_bundle(
         for c, b in enumerate(f.blocks):
             _write_npy(os.path.join(tmp, f"u_{c}.npy"), b.u, "<f8")
             _write_npy(os.path.join(tmp, f"v_{c}.npy"), b.v, "<f8")
-        if os.path.isdir(directory):
-            shutil.rmtree(directory)
-        os.replace(tmp, directory)
+        if _holds_previous_bundle(directory):
+            old = tempfile.mkdtemp(dir=parent, prefix=".bundle-old-")
+            os.replace(directory, old)
+            try:
+                os.replace(tmp, directory)
+            except BaseException:
+                os.replace(old, directory)
+                raise
+            shutil.rmtree(old)
+        else:
+            os.replace(tmp, directory)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+
+
+def _holds_previous_bundle(directory: str) -> bool:
+    """True for a bundle to replace, False for an absent path or empty directory.
+
+    Anything else is not save_bundle's to replace and raises FormatError.
+    """
+    if not os.path.lexists(directory):
+        return False
+    if not os.path.isdir(directory):
+        raise FormatError(f"{directory} exists and is not a directory; refusing to replace it")
+    if not os.listdir(directory):
+        return False
+    if not os.path.isfile(os.path.join(directory, "meta.json")):
+        raise FormatError(
+            f"{directory} is a non-empty directory without meta.json, not a bundle; "
+            "refusing to replace it"
+        )
+    return True
 
 
 def load_bundle_meta(directory) -> dict:

@@ -117,22 +117,25 @@ def truncated_svd(m, r: int) -> SvdResult:
 def best_fit_subspace(points, j: int) -> Subspace:
     """The j-dim linear subspace minimizing the sum of squared distances to the rows.
 
-    This is the span of the top-j right singular vectors (no mean-centering).
-    When the rows have rank < j the basis is padded with the deterministic
-    orthonormal complement the full SVD produces; the padding carries no energy.
+    This is the span of the top-j eigenvectors of the d x d Gram matrix
+    points.T @ points (no mean-centering), i.e. of the top-j right singular
+    vectors. When the rows have rank < j the basis is padded with eigenvectors
+    of the zero eigenvalue, a deterministic orthonormal complement that
+    carries no energy. For j == d the subspace is all of R^d and the basis is
+    the identity, so every distance is exactly 0.
     """
     points = as_matrix(points)
-    n, d = points.shape
+    d = points.shape[1]
     if j < 0:
         raise ParameterError(f"subspace dimension must be nonnegative, got {j}")
     if j > d:
         raise ParameterError(f"subspace dimension {j} exceeds ambient dimension {d}")
     if j == 0:
         return Subspace(np.empty((0, d)))
-    # The reduced SVD yields min(n, d) right vectors; when fewer than j are
-    # available the full decomposition supplies the orthonormal complement.
-    _, _, vt = np.linalg.svd(points, full_matrices=n < j)
-    return Subspace(vt[:j])
+    if j == d:
+        return Subspace(np.eye(d))
+    _, vecs = np.linalg.eigh(points.T @ points)  # ascending eigenvalues
+    return Subspace(vecs[:, ::-1][:, :j].T)
 
 
 def project(point, s: Subspace) -> np.ndarray:
@@ -151,6 +154,17 @@ def dist_sq(point, s: Subspace) -> float:
     return max(0.0, float(x @ x - coeffs @ coeffs))
 
 
+def _row_norms_sq(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row."""
+    return np.einsum("ij,ij->i", points, points)
+
+
+def _distances_sq(points: np.ndarray, norms_sq: np.ndarray, s: Subspace) -> np.ndarray:
+    """distances_sq without validation, given the rows' squared norms."""
+    coeffs = points @ s.basis.T
+    return np.maximum(norms_sq - _row_norms_sq(coeffs), 0.0)
+
+
 def distances_sq(points, s: Subspace) -> np.ndarray:
     """Row-wise squared distances from a matrix of points to a subspace."""
     points = as_matrix(points)
@@ -158,6 +172,4 @@ def distances_sq(points, s: Subspace) -> np.ndarray:
         raise ParameterError(
             f"points have {points.shape[1]} columns, subspace ambient is {s.ambient}"
         )
-    coeffs = points @ s.basis.T
-    d2 = np.einsum("ij,ij->i", points, points) - np.einsum("ij,ij->i", coeffs, coeffs)
-    return np.maximum(d2, 0.0)
+    return _distances_sq(points, _row_norms_sq(points), s)

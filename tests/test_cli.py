@@ -141,6 +141,19 @@ class TestCompress:
         ])
         assert (tmp_path / "a.npy").read_bytes() == before
 
+    def test_output_over_foreign_directory_exit_1(self, runner, tmp_path):
+        write_planted(tmp_path / "a.npy")
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "important.txt").write_text("keep me")
+        result = invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "2", "--j", "3", "--output", str(tmp_path / "data"),
+        ])
+        assert result.exit_code == 1
+        assert "not a bundle" in result.output
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["important.txt"]
+        assert (tmp_path / "data" / "important.txt").read_text() == "keep me"
+
     def test_infeasible_sizes_exit_1(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")
         result = invoke(runner, [

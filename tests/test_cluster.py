@@ -17,7 +17,8 @@ from messi import (
     em_run,
     refit_step,
 )
-from messi.cluster import _iter_partitions
+from messi.cluster import _assign_and_cost, _iter_partitions, _refit
+from messi.linalg import _row_norms_sq
 from oracles import (
     best_dim_composition_cost,
     canonical_partition,
@@ -155,6 +156,21 @@ class TestRefitStep:
     def test_j_out_of_range(self):
         with pytest.raises(ParameterError):
             refit_step(np.eye(3), [0, 0, 0], 1, 4)
+        with pytest.raises(ParameterError):
+            refit_step(np.eye(3), [0, 1, 0], 2, [1, 4])
+        with pytest.raises(ParameterError):
+            refit_step(np.eye(3), [0, 1, 0], 2, [1])
+
+    def test_per_cluster_dims_match_private_refit(self):
+        rng = np.random.default_rng(39)
+        pts = rng.standard_normal((30, 6))
+        labels = rng.integers(0, 3, size=30)
+        dims = [1, 3, 6]
+        got = refit_step(pts, labels, 3, dims)
+        want = _refit(pts, labels, dims)
+        assert [s.dim for s in got] == dims
+        for s, w in zip(got, want):
+            np.testing.assert_array_equal(s.basis, w.basis)
 
 
 class TestEmRun:
@@ -237,6 +253,22 @@ class TestEmRun:
             assert all(h[i + 1] <= h[i] * (1 + 1e-12) + 1e-15 for i in range(len(h) - 1))
             for s in result.subspaces:
                 np.testing.assert_allclose(s.basis @ s.basis.T, np.eye(4), atol=1e-10)
+
+    def test_fused_pass_matches_clustering_cost(self):
+        rng = np.random.default_rng(40)
+        pts = rng.standard_normal((50, 6))
+        subs = [best_fit_subspace(rng.standard_normal((8, 6)), 2) for _ in range(4)]
+        assignment, cost = _assign_and_cost(pts, _row_norms_sq(pts), subs, 2.0)
+        np.testing.assert_array_equal(assignment, assign_step(pts, subs))
+        assert cost == pytest.approx(clustering_cost(pts, assignment, subs), rel=1e-12)
+
+    def test_full_dimension_costs_exactly_zero(self):
+        # j == d: every subspace is all of R^d, so no rounding may show up
+        # in the cost history (criterion 3 allows only 1e-15 absolute slack).
+        pts = np.random.default_rng(41).standard_normal((368, 2))
+        for init in ("random-partition", "sampled-rows"):
+            result = em_run(pts, 8, 2, EmOptions(seed=2066, init=init))
+            assert all(c == 0.0 for c in result.cost_history)
 
     def test_parameter_errors(self):
         pts = np.eye(3)

@@ -202,6 +202,28 @@ class TestBundleRoundTrip:
         save_bundle(fact, bundle, cost=clus.cost)
         save_bundle(fact, bundle, cost=clus.cost, seed=99)
         assert load_bundle_meta(bundle)["seed"] == 99
+        assert os.listdir(tmp_path) == ["b"]  # the moved-aside old bundle is gone
+
+    def test_never_replaces_foreign_data(self, tmp_path):
+        _, clus, fact = make_factorization(seed=12)
+        target = tmp_path / "data"
+        target.mkdir()
+        (target / "important.txt").write_text("keep me")
+        with pytest.raises(FormatError, match="not a bundle"):
+            save_bundle(fact, target, cost=clus.cost)
+        assert os.listdir(target) == ["important.txt"]
+        assert (target / "important.txt").read_text() == "keep me"
+        (tmp_path / "file").write_text("keep me too")
+        with pytest.raises(FormatError, match="not a directory"):
+            save_bundle(fact, tmp_path / "file", cost=clus.cost)
+        assert (tmp_path / "file").read_text() == "keep me too"
+        assert [p for p in os.listdir(tmp_path) if p.startswith(".bundle-")] == []
+
+    def test_fills_empty_directory(self, tmp_path):
+        _, clus, fact = make_factorization(seed=13)
+        (tmp_path / "empty").mkdir()
+        save_bundle(fact, tmp_path / "empty", cost=clus.cost)
+        assert load_bundle(tmp_path / "empty").n == fact.n
 
     def test_meta_tamper_detected(self, tmp_path):
         _, clus, fact = make_factorization(seed=7)

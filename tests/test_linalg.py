@@ -136,6 +136,30 @@ class TestBestFitSubspace:
         assert all(costs[j + 1] <= costs[j] + 1e-9 for j in range(8))
         assert costs[8] <= 1e-9
 
+    @pytest.mark.parametrize("conditioning", ["random", "ill"])
+    def test_gram_basis_matches_svd(self, conditioning):
+        # The basis comes from eigh of the Gram matrix; it must span the same
+        # subspace as the top right singular vectors, also when the singular
+        # values fall from 1 to 1e-6.
+        rng = np.random.default_rng(37)
+        n, d, j = 40, 8, 3
+        pts = rng.standard_normal((n, d))
+        if conditioning == "ill":
+            q1, _ = np.linalg.qr(rng.standard_normal((n, d)))
+            q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            pts = (q1 * np.logspace(0, -6, d)) @ q2.T
+        s = best_fit_subspace(pts, j)
+        _, _, vt = np.linalg.svd(pts)
+        assert same_subspace(s, Subspace(vt[:j]), tol=1e-8)
+        cost = float(np.sum(distances_sq(pts, s)))
+        assert cost == pytest.approx(gram_eig_tail(pts, j), rel=1e-9)
+
+    def test_full_dimension_is_identity(self):
+        pts = np.random.default_rng(38).standard_normal((9, 4))
+        s = best_fit_subspace(pts, 4)
+        np.testing.assert_array_equal(s.basis, np.eye(4))
+        assert np.all(distances_sq(pts, s) == 0.0)
+
     def test_zero_dim_subspace(self):
         pts = np.ones((4, 3))
         s = best_fit_subspace(pts, 0)
