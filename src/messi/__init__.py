@@ -34,13 +34,14 @@ from .factorization import (
     assemble_sparse,
     build_factorization,
     equal_budget_j,
-    forward,
+    lookup,
     param_count,
     reconstruct,
     svd_baseline_params,
 )
 from .io import (
     ReportRow,
+    check_bundle_target,
     load_bundle,
     load_bundle_meta,
     load_matrix,
@@ -62,6 +63,16 @@ from .linalg import (
 )
 
 __version__ = "0.1.0"
+
+
+def forward(f, row_index):
+    """One row of the compressed layer, lookup(f, [row_index])[0].
+
+    Kept for callers of the former per-row API (perfbench's lookup oracle
+    test among them); new code calls lookup with a whole batch.
+    """
+    return lookup(f, [row_index])[0]
+
 
 __all__ = [
     "Block",
@@ -86,18 +97,19 @@ __all__ = [
     "best_fit_subspace",
     "brute_force",
     "build_factorization",
+    "check_bundle_target",
     "clustering_cost",
     "dist_sq",
     "distances_sq",
     "em_multi_restart",
     "em_run",
     "equal_budget_j",
-    "forward",
     "frobenius_error",
     "generate_planted",
     "load_bundle",
     "load_bundle_meta",
     "load_matrix",
+    "lookup",
     "param_count",
     "parse_report",
     "project",

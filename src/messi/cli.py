@@ -120,6 +120,7 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, q, init,
         raise click.UsageError("--k must be >= 1")
     if dims_auto and q != 2.0:
         raise click.UsageError("--dims-auto requires q=2 (spectrum-based allocation)")
+    bundle_io.check_bundle_target(output)
     a = bundle_io.load_matrix(input_path)
     n, d = a.shape
     if j is None:

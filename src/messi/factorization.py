@@ -6,11 +6,15 @@ the V blocks and scattering the U blocks into a block-sparse n x (sum j_i)
 matrix reproduces A row-for-row as U_sparse @ V_stacked. Rows keep their
 original indices throughout; the assignment list is the single source of
 truth for the sparse pattern.
+
+The compressed layer's forward pass is lookup(f, ids): it groups the ids by
+cluster and runs one (rows x j_i) @ (j_i x d) product per cluster, finding
+each row's coefficients through the per-row position index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +28,7 @@ __all__ = [
     "SparseAssembly",
     "build_factorization",
     "assemble_sparse",
-    "forward",
+    "lookup",
     "reconstruct",
     "param_count",
     "svd_baseline_params",
@@ -53,7 +57,8 @@ class MessiFactorization:
     The blocks' row_ids partition {0, ..., n-1}; assignment is the inverse
     map. Each v block has orthonormal rows, so u rows are projection
     coefficients and u @ v is the projection of the cluster's rows onto its
-    subspace.
+    subspace. positions is the row index inside the block: row z is
+    blocks[assignment[z]].u[positions[z]].
     """
 
     n: int
@@ -62,6 +67,7 @@ class MessiFactorization:
     dims: tuple[int, ...]
     blocks: tuple[Block, ...]
     assignment: np.ndarray
+    positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int64).copy()
@@ -69,7 +75,9 @@ class MessiFactorization:
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "dims", tuple(int(j) for j in self.dims))
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        _validate_factorization(self)
+        positions = _validate_factorization(self)
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
 
     def param_count(self) -> int:
         """Stored values across all blocks: sum(n_i * j_i) + sum(j_i * d)."""
@@ -83,7 +91,8 @@ class MessiFactorization:
         return tuple(b.row_ids.size for b in self.blocks)
 
 
-def _validate_factorization(f: MessiFactorization) -> None:
+def _validate_factorization(f: MessiFactorization) -> np.ndarray:
+    """Check the invariants and return each row's position inside its block."""
     if f.n < 1 or f.d < 1:
         raise ParameterError(f"factorization needs n >= 1 and d >= 1, got n={f.n}, d={f.d}")
     if f.k < 1 or len(f.blocks) != f.k or len(f.dims) != f.k:
@@ -91,6 +100,7 @@ def _validate_factorization(f: MessiFactorization) -> None:
     if f.assignment.shape != (f.n,):
         raise ParameterError(f"assignment must have length n={f.n}")
     seen = np.zeros(f.n, dtype=bool)
+    positions = np.empty(f.n, dtype=np.int64)
     for c, b in enumerate(f.blocks):
         ids = b.row_ids
         if ids.ndim != 1 or np.any(np.diff(ids) <= 0):
@@ -100,6 +110,7 @@ def _validate_factorization(f: MessiFactorization) -> None:
         if np.any(seen[ids]):
             raise ParameterError(f"block {c} row_ids overlap another block")
         seen[ids] = True
+        positions[ids] = np.arange(ids.size)
         if not np.array_equal(np.flatnonzero(f.assignment == c), ids):
             raise ParameterError(f"assignment disagrees with block {c} row_ids")
         j = f.dims[c]
@@ -113,6 +124,7 @@ def _validate_factorization(f: MessiFactorization) -> None:
                 raise ParameterError(f"block {c} v rows are not orthonormal (max deviation {dev:.3e})")
     if not seen.all():
         raise ParameterError("blocks do not cover every row")
+    return positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,20 +156,27 @@ class SparseAssembly:
 
     def u_dense(self) -> np.ndarray:
         """Materialize U_sparse as a dense n x total_dims array."""
+        rows = np.repeat(np.arange(self.n), self.row_widths())
+        cols = self.col_offsets[rows] + np.arange(self.values.size) - self.indptr[rows]
         u = np.zeros((self.n, self.total_dims))
-        for z in range(self.n):
-            lo, hi = self.indptr[z], self.indptr[z + 1]
-            start = self.col_offsets[z]
-            u[z, start : start + (hi - lo)] = self.values[lo:hi]
+        u[rows, cols] = self.values
         return u
 
     def product(self) -> np.ndarray:
-        """U_sparse @ V_stacked computed from the sparse rows only."""
-        out = np.empty((self.n, self.v_stacked.shape[1]))
-        for z in range(self.n):
-            lo, hi = self.indptr[z], self.indptr[z + 1]
-            start = self.col_offsets[z]
-            out[z] = self.values[lo:hi] @ self.v_stacked[start : start + (hi - lo)]
+        """U_sparse @ V_stacked computed from the sparse rows only, one GEMM per cluster.
+
+        A cluster of width 0 shares its offset with the next cluster, so a
+        cluster's rows are those with both its offset and its width.
+        """
+        out = np.zeros((self.n, self.v_stacked.shape[1]))
+        widths = self.row_widths()
+        ends = np.append(self.offsets[1:], self.total_dims)
+        for start, width in zip(self.offsets, ends - self.offsets):
+            if width == 0:
+                continue
+            rows = np.flatnonzero((self.col_offsets == start) & (widths == width))
+            runs = self.values[self.indptr[rows][:, None] + np.arange(width)]
+            out[rows] = runs @ self.v_stacked[start : start + width]
         return out
 
 
@@ -225,18 +244,33 @@ def assemble_sparse(f: MessiFactorization) -> SparseAssembly:
     )
 
 
-def forward(f: MessiFactorization, row_index: int) -> np.ndarray:
-    """Reconstruction of one row: its coefficient vector through its V block."""
-    if not 0 <= row_index < f.n:
-        raise ParameterError(f"row index {row_index} out of range [0, {f.n})")
-    c = int(f.assignment[row_index])
-    b = f.blocks[c]
-    pos = int(np.searchsorted(b.row_ids, row_index))
-    return b.u[pos] @ b.v
+def lookup(f: MessiFactorization, ids) -> np.ndarray:
+    """Forward pass of the compressed layer: row i is the reconstruction of row ids[i].
+
+    ids is a 1-D integer array of row indices in [0, n) (an empty list also
+    passes); repeats and any order are allowed, and negative ids are rejected
+    rather than wrapped. The ids are grouped by cluster, and each cluster's
+    coefficient rows go through its basis as one GEMM, so the result equals
+    reconstruct(f)[ids].
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ParameterError(
+            f"ids must be a 1-D integer array, got shape {ids.shape} of dtype {ids.dtype}"
+        )
+    if ids.size and (ids.min() < 0 or ids.max() >= f.n):
+        raise ParameterError(f"ids must lie in [0, {f.n}), got [{ids.min()}, {ids.max()}]")
+    ids = ids.astype(np.int64, copy=False)
+    out = np.empty((ids.size, f.d))
+    clusters = f.assignment[ids]
+    for c, b in enumerate(f.blocks):
+        sel = np.flatnonzero(clusters == c)
+        out[sel] = b.u[f.positions[ids[sel]]] @ b.v
+    return out
 
 
 def reconstruct(f: MessiFactorization) -> np.ndarray:
-    """The full n x d reconstruction; row z equals forward(f, z)."""
+    """The full n x d reconstruction; row z equals lookup(f, [z])[0]."""
     out = np.zeros((f.n, f.d))
     for b in f.blocks:
         if b.row_ids.size:

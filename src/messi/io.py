@@ -200,7 +200,7 @@ def save_bundle(
         for c, b in enumerate(f.blocks):
             _write_npy(os.path.join(tmp, f"u_{c}.npy"), b.u, "<f8")
             _write_npy(os.path.join(tmp, f"v_{c}.npy"), b.v, "<f8")
-        if _holds_previous_bundle(directory):
+        if check_bundle_target(directory):
             old = tempfile.mkdtemp(dir=parent, prefix=".bundle-old-")
             os.replace(directory, old)
             try:
@@ -216,10 +216,12 @@ def save_bundle(
         raise
 
 
-def _holds_previous_bundle(directory: str) -> bool:
-    """True for a bundle to replace, False for an absent path or empty directory.
+def check_bundle_target(directory) -> bool:
+    """Whether save_bundle may write a bundle at directory, and what it replaces.
 
-    Anything else is not save_bundle's to replace and raises FormatError.
+    True for a previous bundle (a directory holding meta.json), False for an
+    absent path or an empty directory. Anything else is not save_bundle's to
+    replace and raises FormatError, so a caller can check before any work.
     """
     if not os.path.lexists(directory):
         return False

@@ -154,6 +154,22 @@ class TestCompress:
         assert [p.name for p in (tmp_path / "data").iterdir()] == ["important.txt"]
         assert (tmp_path / "data" / "important.txt").read_text() == "keep me"
 
+    def test_output_checked_before_clustering(self, runner, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("EM ran although --output cannot be written")
+
+        monkeypatch.setattr("messi.cli.em_multi_restart", must_not_run)
+        write_planted(tmp_path / "a.npy")
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "important.txt").write_text("keep me")
+        result = invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "2", "--j", "3", "--output", str(tmp_path / "data"),
+        ])
+        assert result.exit_code == 1
+        assert "not a bundle" in result.output
+        assert (tmp_path / "data" / "important.txt").read_text() == "keep me"
+
     def test_infeasible_sizes_exit_1(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")
         result = invoke(runner, [

@@ -13,13 +13,19 @@ from messi import (
     build_factorization,
     em_multi_restart,
     equal_budget_j,
-    forward,
+    load_bundle,
+    lookup,
     param_count,
     project,
     reconstruct,
+    save_bundle,
     svd_baseline_params,
     truncated_svd,
 )
+
+
+# Relative Frobenius tolerance of a lookup batch against reconstruct(f)[ids].
+LOOKUP_RTOL = 1e-12
 
 
 def make_clustering(pts, k, j, seed=0, restarts=4):
@@ -35,6 +41,23 @@ def planted_20x10(seed=0, noise=0.01):
     pts[:10] = coeffs[:10] @ basis0
     pts[10:] = coeffs[10:] @ basis1
     return pts + noise * rng.standard_normal((20, 10))
+
+
+def mixed_dims_factorization():
+    """30x8 rows over three clusters of dims (2, 0, 3): cluster 1 keeps no coefficients."""
+    rng = np.random.default_rng(14)
+    pts = rng.standard_normal((30, 8))
+    assignment = rng.permutation(np.repeat([0, 1, 2], 10))
+    subs = (
+        best_fit_subspace(pts[assignment == 0], 2),
+        Subspace(np.empty((0, 8))),
+        best_fit_subspace(pts[assignment == 2], 3),
+    )
+    clus = Clustering(
+        k=3, assignment=assignment, subspaces=subs,
+        cost=0.0, q=2.0, iterations=1, converged=True,
+    )
+    return build_factorization(pts, clus)
 
 
 class TestBuildFactorization:
@@ -165,13 +188,34 @@ class TestSparseAssembly:
         assert np.all(sa.row_widths()[:10] == 2)
         assert np.all(sa.row_widths()[10:] == 4)
 
+    def test_zero_width_cluster(self):
+        # Cluster 1 has dims 0, so it shares its column offset with cluster 2.
+        fact = mixed_dims_factorization()
+        sa = assemble_sparse(fact)
+        np.testing.assert_array_equal(sa.offsets, [0, 2, 2])
+        recon = reconstruct(fact)
+        assert np.all(recon[fact.assignment == 1] == 0.0)
+        scale = max(1.0, np.max(np.abs(recon)))
+        assert np.max(np.abs(sa.u_dense() @ sa.v_stacked - recon)) <= 1e-9 * scale
+        assert np.max(np.abs(sa.product() - recon)) <= 1e-9 * scale
+        # Row-by-row reference: the scatter is exact, the product only reorders sums.
+        u_ref = np.zeros(sa.shape)
+        prod_ref = np.zeros_like(recon)
+        for z in range(sa.n):
+            run = sa.values[sa.indptr[z] : sa.indptr[z + 1]]
+            cols = slice(sa.col_offsets[z], sa.col_offsets[z] + run.size)
+            u_ref[z, cols] = run
+            prod_ref[z] = run @ sa.v_stacked[cols]
+        np.testing.assert_array_equal(sa.u_dense(), u_ref)
+        np.testing.assert_allclose(sa.product(), prod_ref, rtol=1e-12, atol=1e-12)
+
 
 class TestForwardReconstruct:
     def test_row_on_subspace_returned_exactly(self):
         pts = np.outer(np.arange(1.0, 7.0), [1.0, 0.0, 0.0])
         fact = build_factorization(pts, make_clustering(pts, 1, 1))
         for z in range(6):
-            np.testing.assert_allclose(forward(fact, z), pts[z], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(lookup(fact, [z])[0], pts[z], rtol=1e-12, atol=1e-12)
 
     def test_k1_matches_truncated_svd(self):
         rng = np.random.default_rng(8)
@@ -181,14 +225,13 @@ class TestForwardReconstruct:
         recon = reconstruct(fact)
         assert np.linalg.norm(recon - svd_recon) <= 1e-9 * np.linalg.norm(svd_recon)
 
-    def test_forward_agrees_with_sparse_product(self):
+    def test_lookup_agrees_with_sparse_product(self):
         rng = np.random.default_rng(9)
         pts = rng.standard_normal((10, 5))
         fact = build_factorization(pts, make_clustering(pts, 2, 2, seed=5))
         sa = assemble_sparse(fact)
         prod = sa.product()
-        for z in range(10):
-            np.testing.assert_allclose(forward(fact, z), prod[z], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lookup(fact, np.arange(10)), prod, rtol=1e-12, atol=1e-12)
 
     def test_residual_equals_cost(self):
         rng = np.random.default_rng(10)
@@ -202,9 +245,75 @@ class TestForwardReconstruct:
         pts = np.eye(3)
         fact = build_factorization(pts, make_clustering(pts, 1, 1))
         with pytest.raises(ParameterError):
-            forward(fact, 3)
+            lookup(fact, [3])
         with pytest.raises(ParameterError):
-            forward(fact, -1)
+            lookup(fact, [-1])
+
+
+class TestLookup:
+    @staticmethod
+    def assert_matches_reconstruct(fact, ids):
+        expected = reconstruct(fact)[ids]
+        out = lookup(fact, ids)
+        assert out.shape == expected.shape == (len(ids), fact.d)
+        assert np.linalg.norm(out - expected) <= LOOKUP_RTOL * np.linalg.norm(expected)
+
+    def test_unsorted_repeated_and_all_ids(self):
+        rng = np.random.default_rng(15)
+        pts = rng.standard_normal((40, 6))
+        fact = build_factorization(pts, make_clustering(pts, 3, 2, seed=8))
+        assert fact.k == 3 and min(fact.block_sizes()) > 0
+        self.assert_matches_reconstruct(fact, rng.permutation(40))
+        self.assert_matches_reconstruct(fact, np.array([7, 3, 7, 39, 0, 3, 3, 21]))
+        self.assert_matches_reconstruct(fact, rng.integers(0, 40, size=100))
+        self.assert_matches_reconstruct(fact, np.arange(40))
+
+    def test_empty_cluster(self):
+        pts = np.outer(np.arange(1.0, 6.0), [1.0, 0.0, 0.0])
+        clus = Clustering(
+            k=2,
+            assignment=np.zeros(5, dtype=int),
+            subspaces=(Subspace(np.array([[1.0, 0, 0]])), Subspace(np.array([[0.0, 1.0, 0]]))),
+            cost=0.0,
+            q=2.0,
+            iterations=1,
+            converged=True,
+        )
+        fact = build_factorization(pts, clus)
+        assert fact.block_sizes() == (5, 0)
+        self.assert_matches_reconstruct(fact, np.array([4, 0, 2, 2]))
+
+    def test_nonuniform_dims_and_zero_dim_cluster(self):
+        # Dims (2, 0, 3): the rows of the zero-dim cluster come back as zeros.
+        fact = mixed_dims_factorization()
+        self.assert_matches_reconstruct(fact, np.arange(30)[::-1])
+        zero_rows = np.flatnonzero(fact.assignment == 1)
+        np.testing.assert_array_equal(lookup(fact, zero_rows), np.zeros((10, 8)))
+
+    def test_empty_batch(self):
+        fact = mixed_dims_factorization()
+        assert lookup(fact, np.array([], dtype=np.int64)).shape == (0, 8)
+        assert lookup(fact, []).shape == (0, 8)
+
+    def test_positions_invert_blocks(self):
+        fact = mixed_dims_factorization()
+        assert fact.positions.dtype == np.int64 and not fact.positions.flags.writeable
+        for z in range(fact.n):
+            assert fact.blocks[fact.assignment[z]].row_ids[fact.positions[z]] == z
+
+    def test_bundle_round_trip_is_bit_exact(self, tmp_path):
+        fact = mixed_dims_factorization()
+        save_bundle(fact, tmp_path / "b")
+        loaded = load_bundle(tmp_path / "b")
+        ids = np.array([5, 29, 0, 5, 17, 12])
+        np.testing.assert_array_equal(loaded.positions, fact.positions)
+        np.testing.assert_array_equal(lookup(loaded, ids), lookup(fact, ids))
+
+    def test_rejects_bad_ids(self):
+        fact = mixed_dims_factorization()
+        for ids in ([30], [-1], np.array([[0, 1]]), np.array([0.0, 1.0])):
+            with pytest.raises(ParameterError):
+                lookup(fact, ids)
 
 
 class TestParamCounts:

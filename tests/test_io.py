@@ -219,6 +219,14 @@ class TestBundleRoundTrip:
         assert (tmp_path / "file").read_text() == "keep me too"
         assert [p for p in os.listdir(tmp_path) if p.startswith(".bundle-")] == []
 
+    def test_check_bundle_target(self, tmp_path):
+        _, clus, fact = make_factorization(seed=14)
+        assert mio.check_bundle_target(tmp_path / "absent") is False
+        (tmp_path / "empty").mkdir()
+        assert mio.check_bundle_target(tmp_path / "empty") is False
+        save_bundle(fact, tmp_path / "b", cost=clus.cost)
+        assert mio.check_bundle_target(tmp_path / "b") is True
+
     def test_fills_empty_directory(self, tmp_path):
         _, clus, fact = make_factorization(seed=13)
         (tmp_path / "empty").mkdir()
