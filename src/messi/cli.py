@@ -34,21 +34,13 @@ from .evalgen import (
 from .factorization import build_factorization, equal_budget_j, reconstruct
 
 
-def _parse_int_list(value: str, name: str) -> list[int]:
+def _parse_list(value: str, name: str, kind: type) -> list:
+    """Parse a comma-separated list of int or float; bad input is a usage error."""
     try:
-        items = [int(x) for x in value.split(",") if x.strip() != ""]
+        items = [kind(x) for x in value.split(",") if x.strip() != ""]
     except ValueError:
-        raise click.UsageError(f"{name} must be a comma-separated list of integers")
-    if not items:
-        raise click.UsageError(f"{name} must not be empty")
-    return items
-
-
-def _parse_float_list(value: str, name: str) -> list[float]:
-    try:
-        items = [float(x) for x in value.split(",") if x.strip() != ""]
-    except ValueError:
-        raise click.UsageError(f"{name} must be a comma-separated list of numbers")
+        noun = "integers" if kind is int else "numbers"
+        raise click.UsageError(f"{name} must be a comma-separated list of {noun}")
     if not items:
         raise click.UsageError(f"{name} must not be empty")
     return items
@@ -102,7 +94,6 @@ def _progress(ctx_obj):
 @click.option("--max-iters", type=int, default=100, show_default=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True,
               help="Relative cost-improvement stopping threshold.")
-@click.option("--q", type=float, default=2.0, show_default=True, help="Cost exponent.")
 @click.option("--init", type=click.Choice(INIT_METHODS), default="random-partition",
               show_default=True)
 @click.option("--dims-auto", is_flag=True,
@@ -111,22 +102,20 @@ def _progress(ctx_obj):
               help="Bundle directory to write.")
 @click.pass_obj
 @_runtime_errors
-def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, q, init,
+def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, init,
              dims_auto, output):
     """Cluster the rows of a matrix and write the factorization bundle."""
     if (j is None) == (budget is None):
         raise click.UsageError("exactly one of --j / --budget must be given")
     if k < 1:
         raise click.UsageError("--k must be >= 1")
-    if dims_auto and q != 2.0:
-        raise click.UsageError("--dims-auto requires q=2 (spectrum-based allocation)")
     bundle_io.check_bundle_target(output)
     a = bundle_io.load_matrix(input_path)
     n, d = a.shape
     if j is None:
         j = min(equal_budget_j(n, d, k, budget), d)
     opts = EmOptions(restarts=restarts, max_iters=max_iters, rel_tol=tol,
-                     seed=obj["seed"], init=init, q=q)
+                     seed=obj["seed"], init=init)
     progress = _progress(obj)
     if progress:
         progress(f"clustering {n}x{d} matrix with k={k}, j={j}, {restarts} restarts")
@@ -136,26 +125,15 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, q, init,
         subspaces = refit_step(a, clustering.assignment, k, dims)
         clustering = Clustering(
             k=k, assignment=clustering.assignment, subspaces=tuple(subspaces),
-            cost=clustering_cost(a, clustering.assignment, subspaces, q), q=q,
+            cost=clustering_cost(a, clustering.assignment, subspaces),
             iterations=clustering.iterations, converged=clustering.converged,
             cost_history=clustering.cost_history,
         )
         if progress:
             progress(f"reallocated dims: {dims}")
-    # The factor blocks are plain projections regardless of q (assignment and
-    # the Gram refit do not depend on it), so a q != 2 run is repackaged as its
-    # q=2 view for the build; the bundle still records the q-cost of the run.
-    if clustering.q != 2.0:
-        build_view = Clustering(
-            k=k, assignment=clustering.assignment, subspaces=clustering.subspaces,
-            cost=clustering_cost(a, clustering.assignment, clustering.subspaces, 2.0),
-            q=2.0, iterations=clustering.iterations, converged=clustering.converged,
-        )
-    else:
-        build_view = clustering
-    fact = build_factorization(a, build_view)
+    fact = build_factorization(a, clustering)
     bundle_io.save_bundle(
-        fact, output, q=q, seed=obj["seed"], cost=clustering.cost,
+        fact, output, seed=obj["seed"], cost=clustering.cost,
         iterations=clustering.iterations, converged=clustering.converged,
     )
     params = fact.param_count()
@@ -186,23 +164,19 @@ def evaluate(obj, input_path, bundle_dir, report_path):
     absolute, relative = frobenius_error(a, reconstruct(fact))
     click.echo(f"frobenius_error={absolute:.17g}")
     click.echo(f"relative_error={relative:.17g}")
-    if meta["q"] == 2.0:
-        residual_sq = absolute * absolute
-        gap = abs(residual_sq - meta["cost"]) / max(abs(meta["cost"]), 1e-30)
-        ok = gap <= 1e-9 or abs(residual_sq - meta["cost"]) <= 1e-12
-        click.echo(f"residual_identity={'ok' if ok else 'mismatch'}")
-        if not ok:
-            raise click.ClickException(
-                f"squared error {residual_sq:.17g} disagrees with stored cost "
-                f"{meta['cost']:.17g} (relative gap {gap:.3e})"
-            )
-    else:
-        click.echo("residual_identity=n/a")
+    residual_sq = absolute * absolute
+    gap = abs(residual_sq - meta["cost"]) / max(abs(meta["cost"]), 1e-30)
+    ok = gap <= 1e-9 or abs(residual_sq - meta["cost"]) <= 1e-12
+    click.echo(f"residual_identity={'ok' if ok else 'mismatch'}")
+    if not ok:
+        raise click.ClickException(
+            f"squared error {residual_sq:.17g} disagrees with stored cost "
+            f"{meta['cost']:.17g} (relative gap {gap:.3e})"
+        )
     if report_path is not None:
-        params = fact.param_count()
         row = bundle_io.ReportRow(
-            k=fact.k, dims=fact.dims, params=params,
-            compression_rate=1.0 - params / (fact.n * fact.d),
+            k=fact.k, dims=fact.dims, params=fact.param_count(),
+            compression_rate=fact.compression_rate(),
             frobenius_error=absolute, relative_error=relative,
             iterations=meta["iterations"], converged=bool(meta.get("converged", True)),
             seed=meta["seed"],
@@ -224,13 +198,13 @@ def sweep(obj, input_path, k_list, rate_list, budget_list, restarts, output):
     """Run the error-versus-budget grid and write the report CSV."""
     if (rate_list is None) == (budget_list is None):
         raise click.UsageError("exactly one of --rate-list / --budget-list must be given")
-    ks = _parse_int_list(k_list, "--k-list")
+    ks = _parse_list(k_list, "--k-list", int)
     a = bundle_io.load_matrix(input_path)
     n, d = a.shape
     if budget_list is not None:
-        budgets = _parse_int_list(budget_list, "--budget-list")
+        budgets = _parse_list(budget_list, "--budget-list", int)
     else:
-        rates = _parse_float_list(rate_list, "--rate-list")
+        rates = _parse_list(rate_list, "--rate-list", float)
         if any(not 0.0 < r < 1.0 for r in rates):
             raise click.UsageError("--rate-list entries must lie in (0, 1)")
         budgets = [rate_to_budget(r, n, d) for r in rates]
@@ -283,7 +257,7 @@ def inspect(obj, bundle_dir):
     """Print a bundle's metadata, block sizes and sparsity pattern summary."""
     fact = bundle_io.load_bundle(bundle_dir)
     meta = bundle_io.load_bundle_meta(bundle_dir)
-    for key in ("n", "d", "k", "q", "seed", "cost", "iterations"):
+    for key in ("n", "d", "k", "seed", "cost", "iterations"):
         click.echo(f"{key}={meta[key]}")
     click.echo(f"dims={';'.join(str(j) for j in fact.dims)}")
     click.echo(f"params={fact.param_count()}")

@@ -1,11 +1,12 @@
 """(k, j)-projective clustering by Expectation-Maximization with restarts.
 
 The objective: place k linear subspaces of dimension j so that the sum over
-rows of (distance to the nearest subspace)^q is minimal. Finding the global
-optimum is hard even in tiny dimensions, so `em_run` alternates a nearest-
-subspace assignment step with a per-cluster refit from the top eigenvectors
-of the cluster's d x d Gram matrix X_c^T X_c, which never increases the q=2
-cost, and `em_multi_restart` keeps the best of several seeded local minima.
+rows of the squared distance to the nearest subspace is minimal. Finding the
+global optimum is hard even in tiny dimensions, so `em_run` alternates a
+nearest-subspace assignment step with a per-cluster refit from the top
+eigenvectors of the cluster's d x d Gram matrix X_c^T X_c, which never
+increases the cost, and `em_multi_restart` keeps the best of several seeded
+local minima.
 `brute_force` enumerates all row partitions and serves as a ground-truth
 oracle on small instances.
 
@@ -40,10 +41,6 @@ class EmOptions:
     init:
         "random-partition" assigns every row an independent uniform cluster id;
         "sampled-rows" seeds each subspace with the span of j sampled rows.
-    q:
-        cost exponent; the objective sums dist^q. Only q=2 has an exact refit
-        solver (the Gram-matrix eigh M-step), so EM monotonicity is guaranteed
-        for q=2 only.
     """
 
     restarts: int = 16
@@ -51,7 +48,6 @@ class EmOptions:
     rel_tol: float = 1e-6
     seed: int = 0
     init: str = "random-partition"
-    q: float = 2.0
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -64,8 +60,6 @@ class EmOptions:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
         if self.init not in INIT_METHODS:
             raise ParameterError(f"init must be one of {INIT_METHODS}, got {self.init!r}")
-        if not self.q > 0:
-            raise ParameterError(f"q must be > 0, got {self.q}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,19 +67,24 @@ class Clustering:
     """A partition of n rows among k subspaces together with its achieved cost.
 
     cost_history holds the objective after every completed EM iteration
-    (index 0 is the post-initialization cost); it is nonincreasing for q=2.
+    (index 0 is the post-initialization cost); it is nonincreasing.
+
+    q is always 2 (the cost sums squared distances); any other value raises
+    ParameterError. The field stays only for callers that still pass q=2.0.
     """
 
     k: int
     assignment: np.ndarray
     subspaces: tuple[Subspace, ...]
     cost: float
-    q: float
     iterations: int
     converged: bool
     cost_history: tuple[float, ...] = ()
+    q: float = 2.0
 
     def __post_init__(self):
+        if self.q != 2.0:
+            raise ParameterError(f"only squared distances are supported, got q={self.q}")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         subspaces = tuple(self.subspaces)
@@ -118,30 +117,36 @@ def _check_subspaces(subspaces, d: int) -> tuple[Subspace, ...]:
     return subspaces
 
 
-def _sum_pow(d2: np.ndarray, q: float) -> float:
-    """Sum of squared distances raised to q/2."""
-    return float(np.sum(d2 if q == 2.0 else d2 ** (q / 2.0)))
+def _check_dims(k: int, j: int | list[int], d: int) -> list[int]:
+    """Per-cluster dims from one shared j or a list of k, each in [1, d]."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    dims = [j] * k if isinstance(j, (int, np.integer)) else list(j)
+    if len(dims) != k:
+        raise ParameterError(f"expected {k} per-cluster dims, got {len(dims)}")
+    for dim in dims:
+        if not 1 <= dim <= d:
+            raise ParameterError(f"j must lie in [1, {d}], got {dim}")
+    return dims
 
 
-def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces,
-                     q: float) -> tuple[np.ndarray, float]:
-    """Nearest-subspace assignment and its q-cost from one n x k distance pass."""
+def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray,
+                     subspaces) -> tuple[np.ndarray, float]:
+    """Nearest-subspace assignment and its cost from one n x k distance pass."""
     dists = np.stack([_distances_sq(points, norms_sq, s) for s in subspaces], axis=1)
-    return np.argmin(dists, axis=1).astype(np.int64), _sum_pow(np.min(dists, axis=1), q)
+    return np.argmin(dists, axis=1).astype(np.int64), float(np.sum(np.min(dists, axis=1)))
 
 
-def clustering_cost(points, assignment, subspaces, q: float = 2.0) -> float:
-    """Sum over rows of dist(row, subspaces[assignment[row]])^q."""
+def clustering_cost(points, assignment, subspaces) -> float:
+    """Sum over rows of the squared distance to subspaces[assignment[row]]."""
     points = as_matrix(points)
     n, d = points.shape
     subspaces = _check_subspaces(subspaces, d)
     a = _check_assignment(assignment, n, len(subspaces))
-    if not q > 0:
-        raise ParameterError(f"q must be > 0, got {q}")
     total = 0.0
     for c, s in enumerate(subspaces):
         rows = points[a == c]
-        total += _sum_pow(_distances_sq(rows, _row_norms_sq(rows), s), q)
+        total += float(np.sum(_distances_sq(rows, _row_norms_sq(rows), s)))
     return total
 
 
@@ -149,14 +154,7 @@ def assign_step(points, subspaces) -> np.ndarray:
     """Map each row to its nearest subspace; ties go to the lowest index."""
     points = as_matrix(points)
     subspaces = _check_subspaces(subspaces, points.shape[1])
-    return _assign_and_cost(points, _row_norms_sq(points), subspaces, 2.0)[0]
-
-
-def _fit_cluster(rows: np.ndarray, dim: int, d: int) -> Subspace:
-    if rows.shape[0] == 0:
-        # Placeholder for a cluster with no rows: canonical axes, zero energy.
-        return Subspace(np.eye(d)[:dim])
-    return best_fit_subspace(rows, dim)
+    return _assign_and_cost(points, _row_norms_sq(points), subspaces)[0]
 
 
 def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int]) -> list[Subspace]:
@@ -187,33 +185,26 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int]) -> list[
             take = order[cursor : cursor + dims[c]]
             cursor += dims[c]
             if take.size == 0:
-                subspaces[c] = _fit_cluster(np.empty((0, d)), dims[c], d)
+                # Placeholder for a cluster with no rows: canonical axes, zero energy.
+                subspaces[c] = Subspace(np.eye(d)[:dims[c]])
             else:
                 subspaces[c] = best_fit_subspace(points[take], dims[c])
     return subspaces  # type: ignore[return-value]
 
 
 def refit_step(points, assignment, k: int, j: int | list[int]) -> list[Subspace]:
-    """Best-fit subspace of each cluster's rows (the q=2 M-step).
+    """Best-fit subspace of each cluster's rows (the M-step).
 
     j is one dimension for every cluster or a list of k per-cluster
-    dimensions. Never increases the q=2 cost for a fixed assignment. Empty
+    dimensions. Never increases the cost for a fixed assignment. Empty
     clusters are reseeded from the rows currently farthest from their own fit;
     clusters with rank below their dimension get deterministically padded
     bases with zero energy.
     """
     points = as_matrix(points)
     n, d = points.shape
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    dims = [j] * k if isinstance(j, (int, np.integer)) else list(j)
-    if len(dims) != k:
-        raise ParameterError(f"expected {k} per-cluster dims, got {len(dims)}")
-    for dim in dims:
-        if not 1 <= dim <= d:
-            raise ParameterError(f"j must lie in [1, {d}], got {dim}")
-    a = _check_assignment(assignment, n, k)
-    return _refit(points, a, dims)
+    dims = _check_dims(k, j, d)
+    return _refit(points, _check_assignment(assignment, n, k), dims)
 
 
 def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
@@ -230,33 +221,30 @@ def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
     """
     points = as_matrix(points)
     n, d = points.shape
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not 1 <= j <= d:
-        raise ParameterError(f"j must lie in [1, {d}], got {j}")
+    dims = _check_dims(k, j, d)
     if n < k:
         raise ParameterError(f"need at least k={k} rows, got {n}")
 
     rng = np.random.default_rng(np.random.SeedSequence([opts.seed, restart_index]))
     if initial_assignment is not None:
-        subspaces = _refit(points, _check_assignment(initial_assignment, n, k), [j] * k)
+        subspaces = _refit(points, _check_assignment(initial_assignment, n, k), dims)
     elif opts.init == "random-partition":
-        subspaces = _refit(points, rng.integers(0, k, size=n), [j] * k)
+        subspaces = _refit(points, rng.integers(0, k, size=n), dims)
     else:  # sampled-rows
         subspaces = []
-        for _ in range(k):
-            idx = rng.choice(n, size=min(j, n), replace=False)
-            subspaces.append(best_fit_subspace(points[idx], j))
+        for dim in dims:
+            idx = rng.choice(n, size=min(dim, n), replace=False)
+            subspaces.append(best_fit_subspace(points[idx], dim))
 
     norms_sq = _row_norms_sq(points)
-    assignment, cost = _assign_and_cost(points, norms_sq, subspaces, opts.q)
+    assignment, cost = _assign_and_cost(points, norms_sq, subspaces)
     history = [cost]
     iterations = 0
     converged = False
     for _ in range(opts.max_iters):
         iterations += 1
-        subspaces = _refit(points, assignment, [j] * k)
-        assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, opts.q)
+        subspaces = _refit(points, assignment, dims)
+        assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces)
         history.append(new_cost)
         improvement = (cost - new_cost) / max(cost, _COST_EPS)
         cost = new_cost
@@ -268,7 +256,6 @@ def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
         assignment=assignment,
         subspaces=tuple(subspaces),
         cost=cost,
-        q=opts.q,
         iterations=iterations,
         converged=converged,
         cost_history=tuple(history),
@@ -321,15 +308,12 @@ def brute_force(points, k: int, j: int) -> Clustering:
 
     Enumerates every assignment of n rows to k clusters up to relabeling and
     scores each cluster by the tail eigenvalue sum of its Gram matrix (the
-    exact q=2 fit cost), memoized per row subset. Only feasible for k**n up
+    exact fit cost), memoized per row subset. Only feasible for k**n up
     to 10**7; larger instances raise SizeError.
     """
     points = as_matrix(points)
     n, d = points.shape
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not 1 <= j <= d:
-        raise ParameterError(f"j must lie in [1, {d}], got {j}")
+    dims = _check_dims(k, j, d)
     if k**n > _BRUTE_FORCE_LIMIT:
         raise SizeError(f"brute force infeasible: k^n = {k}^{n} exceeds {_BRUTE_FORCE_LIMIT}")
 
@@ -360,14 +344,13 @@ def brute_force(points, k: int, j: int) -> Clustering:
             best_assignment = a.copy()
 
     assert best_assignment is not None
-    subspaces = _refit(points, best_assignment, [j] * k)
-    cost = clustering_cost(points, best_assignment, subspaces, 2.0)
+    subspaces = _refit(points, best_assignment, dims)
+    cost = clustering_cost(points, best_assignment, subspaces)
     return Clustering(
         k=k,
         assignment=best_assignment,
         subspaces=tuple(subspaces),
         cost=cost,
-        q=2.0,
         iterations=0,
         converged=True,
         cost_history=(cost,),
@@ -375,7 +358,7 @@ def brute_force(points, k: int, j: int) -> Clustering:
 
 
 def allocate_dims(points, assignment, total_dims: int, k: int | None = None) -> list[int]:
-    """Greedy split of a total dimension budget across clusters (q=2).
+    """Greedy split of a total dimension budget across clusters.
 
     Every cluster starts at one dimension; each remaining dimension goes to
     the cluster whose next unused squared singular value is largest (ties to
@@ -384,8 +367,6 @@ def allocate_dims(points, assignment, total_dims: int, k: int | None = None) -> 
     points = as_matrix(points)
     n, d = points.shape
     a = np.asarray(assignment, dtype=np.int64)
-    if a.ndim != 1 or a.shape[0] != n:
-        raise ParameterError(f"assignment must be a length-{n} id list, got shape {a.shape}")
     if k is None:
         k = int(a.max()) + 1 if a.size else 1
     a = _check_assignment(a, n, k)

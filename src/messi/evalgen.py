@@ -145,8 +145,6 @@ def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepRepor
     a = as_matrix(a)
     n, d = a.shape
     opts = spec.options
-    if opts.q != 2.0:
-        raise ParameterError(f"sweeps report squared-error reconstructions, so q must be 2, got {opts.q}")
     budgets = sorted(set(spec.budgets(n, d)))
     k_values = set(spec.k_list)
     if spec.include_baseline:
@@ -168,12 +166,11 @@ def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepRepor
         clustering = em_multi_restart(a, k, j, opts, threads=threads)
         fact = build_factorization(a, clustering)
         absolute, relative = frobenius_error(a, reconstruct(fact))
-        params = fact.param_count()
         return ReportRow(
             k=k,
             dims=fact.dims,
-            params=params,
-            compression_rate=1.0 - params / (n * d),
+            params=fact.param_count(),
+            compression_rate=fact.compression_rate(),
             frobenius_error=absolute,
             relative_error=relative,
             iterations=clustering.iterations,

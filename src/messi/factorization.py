@@ -184,13 +184,10 @@ def build_factorization(a, clustering: Clustering) -> MessiFactorization:
     """Group rows by cluster and factor each group over its fitted subspace.
 
     Row z of cluster c contributes coefficients basis_c @ row to u, so
-    u @ v is the orthogonal projection of the cluster's rows. Requires a
-    q=2 clustering (the factor pair realizes squared-error projections).
+    u @ v is the orthogonal projection of the cluster's rows.
     """
     a = as_matrix(a)
     n, d = a.shape
-    if clustering.q != 2.0:
-        raise ParameterError(f"factorization requires a q=2 clustering, got q={clustering.q}")
     if clustering.assignment.shape != (n,):
         raise ParameterError(
             f"clustering covers {clustering.assignment.shape[0]} rows, matrix has {n}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import shutil
 import struct
@@ -162,7 +163,6 @@ def save_bundle(
     f: MessiFactorization,
     directory,
     *,
-    q: float = 2.0,
     seed: int = 0,
     cost: float = 0.0,
     iterations: int = 0,
@@ -174,8 +174,11 @@ def save_bundle(
     into place. An existing path must be an empty directory or a previous
     bundle (a directory holding meta.json), else FormatError is raised and
     the path is left as it was. A previous bundle is moved aside, the new
-    one renamed in, and only then is the old one deleted.
+    one renamed in, and only then is the old one deleted. A non-finite cost
+    raises FormatError, since load_bundle_meta would reject it.
     """
+    if not math.isfinite(cost):
+        raise FormatError(f"cost must be a finite number, got {cost!r}")
     directory = os.fspath(directory)
     parent = os.path.dirname(os.path.abspath(directory)) or "."
     os.makedirs(parent, exist_ok=True)
@@ -187,7 +190,7 @@ def save_bundle(
             "d": f.d,
             "k": f.k,
             "dims": list(f.dims),
-            "q": float(q),
+            "q": 2.0,
             "seed": int(seed),
             "cost": float(cost),
             "iterations": int(iterations),
@@ -256,13 +259,28 @@ def load_bundle_meta(directory) -> dict:
         raise FormatError(
             f"{path}: unsupported format_version {meta['format_version']!r}"
         )
-    if (
-        not isinstance(meta["dims"], list)
-        or len(meta["dims"]) != meta["k"]
-        or not all(isinstance(j, int) and j >= 0 for j in meta["dims"])
-    ):
-        raise FormatError(f"{path}: dims must be a list of {meta['k']} nonnegative integers")
+    _check_meta_values(meta, path)
     return meta
+
+
+def _is_int(value, low: int) -> bool:
+    # JSON true/false load as bool, which is an int subclass in Python.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _check_meta_values(meta: dict, path: str) -> None:
+    """Reject meta fields of the wrong type or range, naming the field."""
+    for key, low in (("n", 1), ("d", 1), ("k", 1), ("seed", 0), ("iterations", 0)):
+        if not _is_int(meta[key], low):
+            raise FormatError(f"{path}: {key} must be an integer >= {low}, got {meta[key]!r}")
+    dims = meta["dims"]
+    if not isinstance(dims, list) or len(dims) != meta["k"] or not all(_is_int(j, 0) for j in dims):
+        raise FormatError(f"{path}: dims must be a list of {meta['k']} nonnegative integers")
+    cost = meta["cost"]
+    if isinstance(cost, bool) or not isinstance(cost, (int, float)) or not math.isfinite(cost):
+        raise FormatError(f"{path}: cost must be a finite number, got {cost!r}")
+    if meta["q"] != 2.0:
+        raise FormatError(f"{path}: q must be 2.0 (squared distances), got {meta['q']!r}")
 
 
 def load_bundle(directory) -> MessiFactorization:

@@ -376,7 +376,7 @@ def test_criterion_08_round_trips(tmp_path):
         clus = em_multi_restart(pts, 2, 2, EmOptions(restarts=4, seed=400 + i))
         fact = build_factorization(pts, clus)
         bundle = tmp_path / f"b{i}"
-        save_bundle(fact, bundle, q=2.0, seed=400 + i, cost=clus.cost,
+        save_bundle(fact, bundle, seed=400 + i, cost=clus.cost,
                     iterations=clus.iterations, converged=clus.converged)
         back = load_bundle(bundle)
         assert back.assignment.tobytes() == fact.assignment.tobytes()

@@ -92,27 +92,11 @@ class TestCompress:
         assert neither.exit_code == 2
         assert not (tmp_path / "x").exists()
 
-    def test_q1_compress_records_q_cost(self, runner, tmp_path):
-        write_planted(tmp_path / "a.npy")
-        result = invoke(runner, [
-            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
-            "--k", "2", "--j", "3", "--q", "1", "--output", str(tmp_path / "bq"),
-        ])
-        assert result.exit_code == 0
-        meta = json.loads((tmp_path / "bq" / "meta.json").read_text())
-        assert meta["q"] == 1.0
-        # A q!=2 bundle cannot claim the squared-error identity.
-        check = invoke(runner, [
-            "evaluate", "--input", str(tmp_path / "a.npy"), "--bundle", str(tmp_path / "bq"),
-        ])
-        assert "residual_identity=n/a" in check.output
-
-    def test_dims_auto_requires_q2(self, runner, tmp_path):
+    def test_q_option_removed(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")
         result = invoke(runner, [
             "compress", "--input", str(tmp_path / "a.npy"),
-            "--k", "2", "--j", "3", "--q", "1", "--dims-auto",
-            "--output", str(tmp_path / "x"),
+            "--k", "2", "--j", "3", "--q", "1", "--output", str(tmp_path / "x"),
         ])
         assert result.exit_code == 2
         assert not (tmp_path / "x").exists()

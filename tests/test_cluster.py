@@ -55,15 +55,15 @@ class TestClusteringCost:
     def test_unit_distance(self):
         pts = np.array([[0.0, 0.0, 1.0]])
         subs = [Subspace(np.eye(3)[:2])]
-        assert clustering_cost(pts, [0], subs, q=2.0) == pytest.approx(1.0)
+        assert clustering_cost(pts, [0], subs) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("q", [1.0, 2.0, 0.5, 3.0])
+    @pytest.mark.parametrize("q", [2.0])
     def test_matches_pointwise_oracle(self, q):
         rng = np.random.default_rng(12)
         pts = rng.standard_normal((15, 4))
         subs = [best_fit_subspace(rng.standard_normal((6, 4)), 2) for _ in range(3)]
         labels = rng.integers(0, 3, size=15)
-        got = clustering_cost(pts, labels, subs, q=q)
+        got = clustering_cost(pts, labels, subs)
         assert got == pytest.approx(pointwise_cost(pts, labels, subs, q=q), rel=1e-10)
 
     def test_invalid_ids(self):
@@ -73,10 +73,6 @@ class TestClusteringCost:
             clustering_cost(pts, [0, 1, 0], subs)
         with pytest.raises(ParameterError):
             clustering_cost(pts, [0, 0], subs)
-
-    def test_q_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            clustering_cost(np.eye(2), [0, 0], [Subspace(np.eye(2)[:1])], q=0.0)
 
 
 class TestAssignStep:
@@ -240,7 +236,7 @@ class TestEmRun:
         rng = np.random.default_rng(24)
         pts = rng.standard_normal((30, 5))
         result = em_run(pts, 2, 2, EmOptions(seed=3))
-        recomputed = clustering_cost(pts, result.assignment, result.subspaces, result.q)
+        recomputed = clustering_cost(pts, result.assignment, result.subspaces)
         assert result.cost == pytest.approx(recomputed, rel=1e-9)
 
     def test_wide_matrix_with_small_clusters(self):
@@ -258,7 +254,7 @@ class TestEmRun:
         rng = np.random.default_rng(40)
         pts = rng.standard_normal((50, 6))
         subs = [best_fit_subspace(rng.standard_normal((8, 6)), 2) for _ in range(4)]
-        assignment, cost = _assign_and_cost(pts, _row_norms_sq(pts), subs, 2.0)
+        assignment, cost = _assign_and_cost(pts, _row_norms_sq(pts), subs)
         np.testing.assert_array_equal(assignment, assign_step(pts, subs))
         assert cost == pytest.approx(clustering_cost(pts, assignment, subs), rel=1e-12)
 
@@ -276,14 +272,6 @@ class TestEmRun:
             em_run(pts, 4, 1, EmOptions())  # n < k
         with pytest.raises(ParameterError):
             em_run(pts, 1, 4, EmOptions())  # j > d
-
-    def test_q1_cost_evaluation(self):
-        # q != 2 still runs (SVD refit solver) and reports the q-cost.
-        rng = np.random.default_rng(25)
-        pts = rng.standard_normal((20, 4))
-        result = em_run(pts, 2, 1, EmOptions(seed=0, q=1.0))
-        expected = pointwise_cost(pts, result.assignment, result.subspaces, q=1.0)
-        assert result.cost == pytest.approx(expected, rel=1e-9)
 
     def test_invalid_warm_start_rejected(self):
         pts = np.random.default_rng(35).standard_normal((6, 3))
@@ -424,6 +412,9 @@ class TestClusteringType:
         with pytest.raises(ParameterError):
             Clustering(k=1, assignment=[0, 1], subspaces=subs, cost=0.0, q=2.0,
                        iterations=0, converged=True)  # id out of range
+        with pytest.raises(ParameterError):
+            Clustering(k=1, assignment=[0, 0], subspaces=subs, cost=0.0, q=1.0,
+                       iterations=0, converged=True)  # only squared distances
 
     def test_assignment_read_only(self):
         from messi import Clustering
@@ -444,7 +435,5 @@ class TestEmOptions:
             EmOptions(rel_tol=0.0)
         with pytest.raises(ParameterError):
             EmOptions(init="kmeans++")
-        with pytest.raises(ParameterError):
-            EmOptions(q=0.0)
         with pytest.raises(ParameterError):
             EmOptions(seed=-1)

@@ -186,16 +186,10 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             SweepSpec(k_list=(1,), rate_list=(1.5,))
 
-    def test_sweep_requires_q2(self, matrix):
-        spec = SweepSpec(k_list=(1,), budget_list=(120,),
-                         options=EmOptions(restarts=1, q=1.0))
-        with pytest.raises(ParameterError):
-            run_sweep(matrix, spec)
-
 
 class TestResidualIdentity:
     def test_sweep_error_squared_equals_cost(self):
-        # For q=2 the reported error is the square root of the clustering cost.
+        # The reported error is the square root of the clustering cost.
         rng = np.random.default_rng(42)
         a = rng.standard_normal((30, 8))
         from messi import build_factorization, em_multi_restart, reconstruct

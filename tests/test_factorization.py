@@ -84,15 +84,6 @@ class TestBuildFactorization:
             expected = project(pts[z], clus.subspaces[clus.assignment[z]])
             np.testing.assert_allclose(recon[z], expected, rtol=1e-12, atol=1e-12)
 
-    def test_rejects_q_not_two(self):
-        rng = np.random.default_rng(2)
-        pts = rng.standard_normal((10, 4))
-        from messi import em_run
-
-        clus = em_run(pts, 2, 1, EmOptions(seed=0, q=1.0))
-        with pytest.raises(ParameterError):
-            build_factorization(pts, clus)
-
     def test_rejects_shape_mismatch(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((10, 4))

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import messi.io as mio
 from messi import (
@@ -24,6 +25,7 @@ from messi import (
     save_matrix,
     write_report,
 )
+from messi.cli import main
 
 
 def make_factorization(seed=0, n=12, d=5, k=2, j=2):
@@ -165,7 +167,7 @@ class TestBundleRoundTrip:
     def test_bit_exact(self, tmp_path):
         _, clus, fact = make_factorization(seed=5)
         bundle = tmp_path / "bundle"
-        save_bundle(fact, bundle, q=2.0, seed=5, cost=clus.cost,
+        save_bundle(fact, bundle, seed=5, cost=clus.cost,
                     iterations=clus.iterations, converged=clus.converged)
         back = load_bundle(bundle)
         assert back.n == fact.n and back.d == fact.d and back.k == fact.k
@@ -269,6 +271,31 @@ class TestBundleRoundTrip:
         (bundle / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(FormatError, match="dims"):
             load_bundle(bundle)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 12.0), ("n", 0), ("d", 5.0), ("k", True), ("dims", [True, 2]), ("dims", [-1, 2]),
+        ("seed", -1), ("seed", "5"), ("iterations", 1.5), ("iterations", False),
+        ("cost", "abc"), ("cost", None), ("cost", float("inf")), ("q", 1.0), ("q", "2.0"),
+    ])
+    def test_meta_value_corruption_rejected(self, tmp_path, key, value):
+        _, clus, fact = make_factorization(seed=12)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        meta = json.loads((bundle / "meta.json").read_text())
+        meta[key] = value
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=f"{key} must"):
+            load_bundle(bundle)
+        result = CliRunner().invoke(main, ["inspect", "--bundle", str(bundle)],
+                                    catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "Error:" in result.output
+
+    def test_nonfinite_cost_not_saved(self, tmp_path):
+        _, _, fact = make_factorization(seed=13)
+        with pytest.raises(FormatError, match="cost"):
+            save_bundle(fact, tmp_path / "b", cost=float("nan"))
+        assert not (tmp_path / "b").exists()
 
     def test_failed_save_leaves_no_bundle(self, tmp_path, monkeypatch):
         _, clus, fact = make_factorization(seed=10)
