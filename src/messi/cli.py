@@ -65,7 +65,8 @@ def _runtime_errors(fn):
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=42, show_default=True,
               help="Base RNG seed.")
 @click.option("--threads", type=int, default=None,
-              help="Worker threads for restarts/sweeps (default: all cores).")
+              help="Threads for EM restarts, row chunks and fits (default: all cores); "
+                   "outputs are bit-identical for every value.")
 @click.option("--quiet", is_flag=True, help="Suppress progress output on stderr.")
 @click.pass_context
 def main(ctx, seed, threads, quiet):
@@ -178,7 +179,7 @@ def evaluate(obj, input_path, bundle_dir, report_path):
             k=fact.k, dims=fact.dims, params=fact.param_count(),
             compression_rate=fact.compression_rate(),
             frobenius_error=absolute, relative_error=relative,
-            iterations=meta["iterations"], converged=bool(meta.get("converged", True)),
+            iterations=meta["iterations"], converged=meta.get("converged", True),
             seed=meta["seed"],
         )
         bundle_io.write_report([row], report_path)

@@ -12,18 +12,35 @@ oracle on small instances.
 
 Randomness: every restart draws from its own PCG64 stream seeded with
 SeedSequence([seed, restart_index]), so results are independent of execution
-order and identical across thread counts.
+order.
+
+Threads: `em_run` and `em_multi_restart` hold OpenBLAS at one thread and
+take their parallelism from one pool that runs fixed work units: the
+restarts, and inside a restart the assignment pass's row chunks of
+_CHUNK_ROWS rows and the k per-cluster fits. Every unit is computed the same
+way whichever thread runs it, and chunk costs are added in chunk order, so
+the output bits are identical for every `threads` value and, when numpy's
+OpenBLAS is found, for every BLAS thread count. `refit_step`, `assign_step`
+and `allocate_dims` run outside the pin, at the BLAS's own thread count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .linalg import Subspace, _distances_sq, _row_norms_sq, as_matrix, best_fit_subspace
+from .linalg import (
+    Subspace,
+    _distances_sq,
+    _one_blas_thread,
+    _row_norms_sq,
+    as_matrix,
+    best_fit_subspace,
+)
 
 INIT_METHODS = ("random-partition", "sampled-rows")
 
@@ -32,6 +49,34 @@ _COST_EPS = 1e-30
 
 # Guard on the assignment-enumeration size of brute_force.
 _BRUTE_FORCE_LIMIT = 10**7
+
+# Rows per work unit of the assignment pass; fixed, so no result depends on threads.
+_CHUNK_ROWS = 2048
+
+
+def _serial_map(fn, items) -> list:
+    return [fn(item) for item in items]
+
+
+@contextmanager
+def _units(threads: int):
+    """Yield a map(fn, items) that runs each item as one work unit.
+
+    threads - 1 pool workers take units from the front while the calling
+    thread takes the ones no worker has started from the back. Results come
+    back in item order.
+    """
+    if threads <= 1:
+        yield _serial_map
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        def run(fn, items) -> list:
+            items = list(items)
+            futures = [pool.submit(fn, item) for item in items]
+            own = {i: fn(items[i]) for i in reversed(range(len(items))) if futures[i].cancel()}
+            return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
+
+        yield run
 
 
 @dataclass(frozen=True)
@@ -130,11 +175,21 @@ def _check_dims(k: int, j: int | list[int], d: int) -> list[int]:
     return dims
 
 
-def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray,
-                     subspaces) -> tuple[np.ndarray, float]:
-    """Nearest-subspace assignment and its cost from one n x k distance pass."""
-    dists = np.stack([_distances_sq(points, norms_sq, s) for s in subspaces], axis=1)
-    return np.argmin(dists, axis=1).astype(np.int64), float(np.sum(np.min(dists, axis=1)))
+def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces,
+                     run=_serial_map) -> tuple[np.ndarray, float]:
+    """Nearest-subspace assignment and its cost from one n x k distance pass.
+
+    The pass runs over fixed chunks of _CHUNK_ROWS rows; the chunk costs are
+    added in chunk order.
+    """
+    def chunk(start: int):
+        rows = slice(start, start + _CHUNK_ROWS)
+        dists = np.stack([_distances_sq(points[rows], norms_sq[rows], s) for s in subspaces],
+                         axis=1)
+        return np.argmin(dists, axis=1), float(np.sum(np.min(dists, axis=1)))
+
+    parts = run(chunk, range(0, points.shape[0], _CHUNK_ROWS))
+    return np.concatenate([a for a, _ in parts]).astype(np.int64), sum(c for _, c in parts)
 
 
 def clustering_cost(points, assignment, subspaces) -> float:
@@ -157,18 +212,21 @@ def assign_step(points, subspaces) -> np.ndarray:
     return _assign_and_cost(points, _row_norms_sq(points), subspaces)[0]
 
 
-def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int]) -> list[Subspace]:
-    """Per-cluster best-fit refit with farthest-point healing of empty clusters."""
+def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
+           run=_serial_map) -> list[Subspace]:
+    """Per-cluster best-fit refit with farthest-point healing of empty clusters.
+
+    Each cluster's fit is one work unit; the healing runs serially after them.
+    """
     n, d = points.shape
     k = len(dims)
-    subspaces: list[Subspace | None] = [None] * k
-    empty = []
-    for c in range(k):
+
+    def fit(c: int) -> Subspace | None:
         rows = points[assignment == c]
-        if rows.shape[0] == 0:
-            empty.append(c)
-        else:
-            subspaces[c] = best_fit_subspace(rows, dims[c])
+        return best_fit_subspace(rows, dims[c]) if rows.shape[0] else None
+
+    subspaces = run(fit, range(k))
+    empty = [c for c in range(k) if subspaces[c] is None]
     if empty:
         # Reseed each empty cluster from the rows farthest from their current
         # fit, excluding rows already consumed by a previous heal.
@@ -208,7 +266,7 @@ def refit_step(points, assignment, k: int, j: int | list[int]) -> list[Subspace]
 
 
 def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
-           initial_assignment=None) -> Clustering:
+           initial_assignment=None, threads: int = 1) -> Clustering:
     """One seeded EM descent to a local minimum of the (k, j) clustering cost.
 
     Alternates assign_step and refit_step until the relative cost improvement
@@ -217,7 +275,9 @@ def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
     strictly improves by switching clusters.
 
     initial_assignment, when given, overrides opts.init (useful for warm
-    starts and for reproducing planted partitions).
+    starts and for reproducing planted partitions). threads runs the row
+    chunks and the per-cluster fits in parallel; the result does not depend
+    on it.
     """
     points = as_matrix(points)
     n, d = points.shape
@@ -226,31 +286,30 @@ def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
         raise ParameterError(f"need at least k={k} rows, got {n}")
 
     rng = np.random.default_rng(np.random.SeedSequence([opts.seed, restart_index]))
-    if initial_assignment is not None:
-        subspaces = _refit(points, _check_assignment(initial_assignment, n, k), dims)
-    elif opts.init == "random-partition":
-        subspaces = _refit(points, rng.integers(0, k, size=n), dims)
-    else:  # sampled-rows
-        subspaces = []
-        for dim in dims:
-            idx = rng.choice(n, size=min(dim, n), replace=False)
-            subspaces.append(best_fit_subspace(points[idx], dim))
+    with _one_blas_thread, _units(threads) as run:
+        if initial_assignment is not None:
+            subspaces = _refit(points, _check_assignment(initial_assignment, n, k), dims, run)
+        elif opts.init == "random-partition":
+            subspaces = _refit(points, rng.integers(0, k, size=n), dims, run)
+        else:  # sampled-rows
+            samples = [rng.choice(n, size=min(dim, n), replace=False) for dim in dims]
+            subspaces = run(lambda c: best_fit_subspace(points[samples[c]], dims[c]), range(k))
 
-    norms_sq = _row_norms_sq(points)
-    assignment, cost = _assign_and_cost(points, norms_sq, subspaces)
-    history = [cost]
-    iterations = 0
-    converged = False
-    for _ in range(opts.max_iters):
-        iterations += 1
-        subspaces = _refit(points, assignment, dims)
-        assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces)
-        history.append(new_cost)
-        improvement = (cost - new_cost) / max(cost, _COST_EPS)
-        cost = new_cost
-        if improvement < opts.rel_tol:
-            converged = True
-            break
+        norms_sq = _row_norms_sq(points)
+        assignment, cost = _assign_and_cost(points, norms_sq, subspaces, run)
+        history = [cost]
+        iterations = 0
+        converged = False
+        for _ in range(opts.max_iters):
+            iterations += 1
+            subspaces = _refit(points, assignment, dims, run)
+            assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run)
+            history.append(new_cost)
+            improvement = (cost - new_cost) / max(cost, _COST_EPS)
+            cost = new_cost
+            if improvement < opts.rel_tol:
+                converged = True
+                break
     return Clustering(
         k=k,
         assignment=assignment,
@@ -266,16 +325,16 @@ def em_multi_restart(points, k: int, j: int, opts: EmOptions, threads: int = 1) 
     """Minimum-cost result of opts.restarts independent EM runs.
 
     Restart i uses the stream derived from (opts.seed, i), so the outcome is a
-    pure function of (points, k, j, opts) no matter how many worker threads
-    execute the restarts. Cost ties break toward the lowest restart index.
+    pure function of (points, k, j, opts) no matter how many threads run it.
+    The threads work whole restarts, or, with one restart, that restart's row
+    chunks and fits. Cost ties break toward the lowest restart index.
     """
     points = as_matrix(points)
+    if opts.restarts == 1:
+        return em_run(points, k, j, opts, 0, threads=threads)
     indices = range(opts.restarts)
-    if threads > 1 and opts.restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: em_run(points, k, j, opts, i), indices))
-    else:
-        results = [em_run(points, k, j, opts, i) for i in indices]
+    with _one_blas_thread, _units(threads) as run:
+        results = run(lambda i: em_run(points, k, j, opts, i), indices)
     best = min(indices, key=lambda i: (results[i].cost, i))
     return results[best]
 

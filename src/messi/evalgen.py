@@ -25,13 +25,18 @@ SweepReport = list[ReportRow]
 
 
 def frobenius_error(a, a_hat) -> tuple[float, float]:
-    """(absolute, relative) Frobenius error between a matrix and its reconstruction."""
+    """(absolute, relative) Frobenius error between a matrix and its reconstruction.
+
+    The squares are added by numpy's pairwise sum, not by BLAS, so the result
+    does not depend on the BLAS thread count.
+    """
     a = as_matrix(a)
     a_hat = as_matrix(a_hat)
     if a.shape != a_hat.shape:
         raise ParameterError(f"shape mismatch: {a.shape} vs {a_hat.shape}")
-    absolute = float(np.linalg.norm(a - a_hat))
-    denom = float(np.linalg.norm(a))
+    denom = math.sqrt(float(np.sum(np.square(a))))
+    diff = a - a_hat
+    absolute = math.sqrt(float(np.sum(np.square(diff, out=diff))))
     if denom == 0.0:
         return absolute, 0.0 if absolute == 0.0 else math.inf
     return absolute, absolute / denom

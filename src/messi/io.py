@@ -281,6 +281,8 @@ def _check_meta_values(meta: dict, path: str) -> None:
         raise FormatError(f"{path}: cost must be a finite number, got {cost!r}")
     if meta["q"] != 2.0:
         raise FormatError(f"{path}: q must be 2.0 (squared distances), got {meta['q']!r}")
+    if not isinstance(meta.get("converged", True), bool):
+        raise FormatError(f"{path}: converged must be true or false, got {meta['converged']!r}")
 
 
 def load_bundle(directory) -> MessiFactorization:

@@ -6,10 +6,20 @@ this package builds: A ~ U V has no bias term. Everything is computed in
 float64 regardless of input precision.
 
 All functions here are pure and safe to call concurrently.
+
+`_one_blas_thread` holds numpy's bundled OpenBLAS at one thread while EM
+runs, so that EM takes its parallelism from its own pool of fixed work units
+and its output bits depend on no thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +28,67 @@ from .errors import InputError, ParameterError
 
 # Max-abs deviation of basis @ basis.T from the identity tolerated on construction.
 ORTHONORMALITY_TOL = 1e-10
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if not found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        suffix = "64_" if "openblas64_" in os.path.basename(path) else ""
+        try:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _blas_threads() -> int | None:
+    """OpenBLAS's current thread count, or None when no hook to it was found."""
+    hook = _openblas_threads()
+    return None if hook is None else hook[0]()
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set OpenBLAS's thread count for the whole process; a no-op without the hook."""
+    hook = _openblas_threads()
+    if hook is not None:
+        hook[1](count)
+
+
+class _OneBlasThread(AbstractContextManager):
+    """Holds OpenBLAS at one thread while any thread is inside; reentrant.
+
+    The thread count is process-wide, so entries are counted: the first to
+    enter saves the count and sets it to 1, the last to leave restores it
+    (on an exception too). Without the hook this does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = _blas_threads()
+                _set_blas_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._saved is not None:
+                _set_blas_threads(self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def as_matrix(data) -> np.ndarray:

@@ -38,6 +38,7 @@ from messi import (
     svd_baseline_params,
     truncated_svd,
 )
+from messi.linalg import _blas_threads, _set_blas_threads
 from oracles import gram_eig_tail
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -436,3 +437,18 @@ def test_criterion_10_determinism(crit2, crit3, crit4, crit5, crit6):
         )
     print(f"\nPASS: criterion 10 - criteria 2-6 CSVs bit-identical across reruns and "
           f"across 1 vs {N_THREADS} threads ({time.time() - start:.1f}s)")
+
+
+def test_criterion_06_csv_identical_across_blas_threads():
+    saved = _blas_threads()
+    if saved is None:
+        pytest.skip("no hook to numpy's OpenBLAS thread count was found, so it cannot be set")
+    csvs = []
+    try:
+        for count in (1, 2):
+            _set_blas_threads(count)
+            assert _blas_threads() == count
+            csvs.append(run_criterion_6(threads=1)[0])
+    finally:
+        _set_blas_threads(saved)
+    assert csvs[0] == csvs[1], "criterion 6 CSV differs between 1 and 2 BLAS threads"

@@ -1,8 +1,12 @@
 """Tests for the EM projective-clustering module."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import messi.cluster
 from messi import (
     EmOptions,
     ParameterError,
@@ -17,8 +21,8 @@ from messi import (
     em_run,
     refit_step,
 )
-from messi.cluster import _assign_and_cost, _iter_partitions, _refit
-from messi.linalg import _row_norms_sq
+from messi.cluster import _CHUNK_ROWS, _assign_and_cost, _iter_partitions, _refit
+from messi.linalg import _blas_threads, _row_norms_sq, _set_blas_threads
 from oracles import (
     best_dim_composition_cost,
     canonical_partition,
@@ -309,6 +313,76 @@ class TestEmMultiRestart:
             assert other.cost == results[0].cost
             np.testing.assert_array_equal(other.assignment, results[0].assignment)
             assert other.cost_history == results[0].cost_history
+
+
+class TestThreadBudget:
+    def test_one_restart_identical_across_threads(self):
+        rng = np.random.default_rng(29)
+        pts = rng.standard_normal((3 * _CHUNK_ROWS + 100, 12))
+        opts = EmOptions(restarts=1, max_iters=6, seed=3)
+        results = [em_multi_restart(pts, 3, 2, opts, threads=t) for t in (1, 2, 4)]
+        for other in results[1:]:
+            assert other.cost == results[0].cost
+            assert other.cost_history == results[0].cost_history
+            np.testing.assert_array_equal(other.assignment, results[0].assignment)
+            for s, s0 in zip(other.subspaces, results[0].subspaces):
+                np.testing.assert_array_equal(s.basis, s0.basis)
+
+
+@pytest.fixture
+def blas_at_two_threads(monkeypatch):
+    """BLAS set to 2 threads through the hook; yields the counts seen inside fits."""
+    saved = _blas_threads()
+    if saved is None:
+        pytest.skip("no hook to numpy's OpenBLAS thread count was found")
+    seen = []
+    real_fit = messi.cluster.best_fit_subspace
+
+    def spy(points, j):
+        seen.append(_blas_threads())
+        return real_fit(points, j)
+
+    monkeypatch.setattr(messi.cluster, "best_fit_subspace", spy)
+    _set_blas_threads(2)
+    try:
+        yield seen
+    finally:
+        _set_blas_threads(saved)
+
+
+class TestBlasPin:
+    def test_restored_after_return(self, blas_at_two_threads):
+        pts = np.random.default_rng(30).standard_normal((50, 6))
+        em_multi_restart(pts, 2, 2, EmOptions(restarts=3, seed=1), threads=2)
+        em_run(pts, 2, 2, EmOptions(seed=1))
+        assert blas_at_two_threads and set(blas_at_two_threads) == {1}
+        assert _blas_threads() == 2
+
+    def test_restored_after_error_inside_em(self, blas_at_two_threads, monkeypatch):
+        def failing_fit(points, j):
+            blas_at_two_threads.append(_blas_threads())
+            raise ParameterError("fit failed")
+
+        monkeypatch.setattr(messi.cluster, "best_fit_subspace", failing_fit)
+        pts = np.random.default_rng(31).standard_normal((50, 6))
+        with pytest.raises(ParameterError, match="fit failed"):
+            em_multi_restart(pts, 2, 2, EmOptions(restarts=4, seed=1), threads=2)
+        assert blas_at_two_threads and set(blas_at_two_threads) == {1}
+        assert _blas_threads() == 2
+
+    def test_restored_after_concurrent_callers(self, blas_at_two_threads):
+        pts = np.random.default_rng(32).standard_normal((80, 6))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda i: em_run(pts, 3, 2, EmOptions(seed=i)),
+                                        range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8
+        assert set(blas_at_two_threads) == {1}
+        assert _blas_threads() == 2
 
 
 class TestBruteForce:

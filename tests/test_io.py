@@ -276,6 +276,7 @@ class TestBundleRoundTrip:
         ("n", 12.0), ("n", 0), ("d", 5.0), ("k", True), ("dims", [True, 2]), ("dims", [-1, 2]),
         ("seed", -1), ("seed", "5"), ("iterations", 1.5), ("iterations", False),
         ("cost", "abc"), ("cost", None), ("cost", float("inf")), ("q", 1.0), ("q", "2.0"),
+        ("converged", "no"), ("converged", 1),
     ])
     def test_meta_value_corruption_rejected(self, tmp_path, key, value):
         _, clus, fact = make_factorization(seed=12)
