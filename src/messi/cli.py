@@ -13,15 +13,7 @@ import click
 import numpy as np
 
 from . import io as bundle_io
-from .cluster import (
-    INIT_METHODS,
-    Clustering,
-    EmOptions,
-    allocate_dims,
-    clustering_cost,
-    em_multi_restart,
-    refit_step,
-)
+from .cluster import INIT_METHODS, EmOptions, allocate_dims, em_multi_restart, em_run
 from .errors import MessiError
 from .evalgen import (
     SweepSpec,
@@ -87,18 +79,22 @@ def _progress(ctx_obj):
 @main.command()
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Matrix to compress (.npy).")
-@click.option("--k", type=int, required=True, help="Number of subspaces.")
-@click.option("--j", type=int, default=None, help="Uniform subspace dimension.")
-@click.option("--budget", type=int, default=None,
+@click.option("--k", type=click.IntRange(min=1), required=True, help="Number of subspaces.")
+@click.option("--j", type=click.IntRange(min=1), default=None,
+              help="Uniform subspace dimension.")
+@click.option("--budget", type=click.IntRange(min=1), default=None,
               help="Parameter budget; picks the largest j that fits.")
-@click.option("--restarts", type=int, default=16, show_default=True)
-@click.option("--max-iters", type=int, default=100, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True,
-              help="Relative cost-improvement stopping threshold.")
+@click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True)
+@click.option("--max-iters", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-6,
+              show_default=True, help="Relative cost-improvement stopping threshold.")
 @click.option("--init", type=click.Choice(INIT_METHODS), default="random-partition",
               show_default=True)
 @click.option("--dims-auto", is_flag=True,
-              help="Redistribute the k*j dimension budget across clusters by spectrum.")
+              help="After EM, redistribute the k*j dims across clusters by spectrum and "
+                   "continue EM from its assignment, so rows move to their nearest "
+                   "subspace. The k*j total stays fixed; the parameter count follows the "
+                   "final cluster sizes and can exceed --budget.")
 @click.option("--output", required=True, type=click.Path(file_okay=False),
               help="Bundle directory to write.")
 @click.pass_obj
@@ -108,8 +104,6 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, init,
     """Cluster the rows of a matrix and write the factorization bundle."""
     if (j is None) == (budget is None):
         raise click.UsageError("exactly one of --j / --budget must be given")
-    if k < 1:
-        raise click.UsageError("--k must be >= 1")
     bundle_io.check_bundle_target(output)
     a = bundle_io.load_matrix(input_path)
     n, d = a.shape
@@ -121,27 +115,23 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, init,
     if progress:
         progress(f"clustering {n}x{d} matrix with k={k}, j={j}, {restarts} restarts")
     clustering = em_multi_restart(a, k, j, opts, threads=obj["threads"])
+    iterations = clustering.iterations
     if dims_auto:
         dims = allocate_dims(a, clustering.assignment, k * j, k=k)
-        subspaces = refit_step(a, clustering.assignment, k, dims)
-        clustering = Clustering(
-            k=k, assignment=clustering.assignment, subspaces=tuple(subspaces),
-            cost=clustering_cost(a, clustering.assignment, subspaces),
-            iterations=clustering.iterations, converged=clustering.converged,
-            cost_history=clustering.cost_history,
-        )
         if progress:
             progress(f"reallocated dims: {dims}")
+        clustering = em_run(a, k, dims, opts, initial_assignment=clustering.assignment,
+                            threads=obj["threads"])
+        iterations += clustering.iterations
     fact = build_factorization(a, clustering)
     bundle_io.save_bundle(
         fact, output, seed=obj["seed"], cost=clustering.cost,
-        iterations=clustering.iterations, converged=clustering.converged,
+        iterations=iterations, converged=clustering.converged,
     )
-    params = fact.param_count()
-    click.echo(f"params={params}")
+    click.echo(f"params={fact.param_count()}")
     click.echo(f"compression_rate={fact.compression_rate():.17g}")
     click.echo(f"cost={clustering.cost:.17g}")
-    click.echo(f"iterations={clustering.iterations}")
+    click.echo(f"iterations={iterations}")
 
 
 @main.command()
@@ -191,7 +181,7 @@ def evaluate(obj, input_path, bundle_dir, report_path):
 @click.option("--k-list", required=True, help="Comma-separated cluster counts, e.g. 1,2,4,8.")
 @click.option("--rate-list", default=None, help="Comma-separated target compression rates.")
 @click.option("--budget-list", default=None, help="Comma-separated absolute budgets.")
-@click.option("--restarts", type=int, default=16, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--output", required=True, type=click.Path(dir_okay=False), help="CSV to write.")
 @click.pass_obj
 @_runtime_errors

@@ -20,12 +20,14 @@ restarts, and inside a restart the assignment pass's row chunks of
 _CHUNK_ROWS rows and the k per-cluster fits. Every unit is computed the same
 way whichever thread runs it, and chunk costs are added in chunk order, so
 the output bits are identical for every `threads` value and, when numpy's
-OpenBLAS is found, for every BLAS thread count. `refit_step`, `assign_step`
-and `allocate_dims` run outside the pin, at the BLAS's own thread count.
+OpenBLAS is found, for every BLAS thread count. `allocate_dims` computes its
+spectra under the same pin, so `compress --dims-auto` runs pinned throughout;
+`refit_step` and `assign_step` run outside it, at the BLAS's own thread count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ from .errors import ParameterError, SizeError
 from .linalg import (
     Subspace,
     _distances_sq,
+    _gram_eigh,
     _one_blas_thread,
     _row_norms_sq,
     as_matrix,
@@ -162,7 +165,7 @@ def _check_subspaces(subspaces, d: int) -> tuple[Subspace, ...]:
     return subspaces
 
 
-def _check_dims(k: int, j: int | list[int], d: int) -> list[int]:
+def _check_dims(k: int, j: int | Sequence[int], d: int) -> list[int]:
     """Per-cluster dims from one shared j or a list of k, each in [1, d]."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -250,7 +253,7 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
     return subspaces  # type: ignore[return-value]
 
 
-def refit_step(points, assignment, k: int, j: int | list[int]) -> list[Subspace]:
+def refit_step(points, assignment, k: int, j: int | Sequence[int]) -> list[Subspace]:
     """Best-fit subspace of each cluster's rows (the M-step).
 
     j is one dimension for every cluster or a list of k per-cluster
@@ -265,14 +268,16 @@ def refit_step(points, assignment, k: int, j: int | list[int]) -> list[Subspace]
     return _refit(points, _check_assignment(assignment, n, k), dims)
 
 
-def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
+def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_index: int = 0,
            initial_assignment=None, threads: int = 1) -> Clustering:
     """One seeded EM descent to a local minimum of the (k, j) clustering cost.
 
-    Alternates assign_step and refit_step until the relative cost improvement
-    drops below opts.rel_tol or opts.max_iters is reached. The returned
-    assignment always comes from a final assign_step, so at convergence no row
-    strictly improves by switching clusters.
+    j is one dimension for every cluster or a list of k per-cluster
+    dimensions. Alternates a best-fit refit of every cluster with a
+    nearest-subspace assignment of every row until the relative cost
+    improvement drops below opts.rel_tol or opts.max_iters is reached. The
+    returned assignment always comes from a final assignment pass, so at
+    convergence no row strictly improves by switching clusters.
 
     initial_assignment, when given, overrides opts.init (useful for warm
     starts and for reproducing planted partitions). threads runs the row
@@ -321,11 +326,13 @@ def em_run(points, k: int, j: int, opts: EmOptions, restart_index: int = 0,
     )
 
 
-def em_multi_restart(points, k: int, j: int, opts: EmOptions, threads: int = 1) -> Clustering:
+def em_multi_restart(points, k: int, j: int | Sequence[int], opts: EmOptions,
+                     threads: int = 1) -> Clustering:
     """Minimum-cost result of opts.restarts independent EM runs.
 
-    Restart i uses the stream derived from (opts.seed, i), so the outcome is a
-    pure function of (points, k, j, opts) no matter how many threads run it.
+    j is shared or per-cluster, as in em_run. Restart i uses the stream
+    derived from (opts.seed, i), so the outcome is a pure function of
+    (points, k, j, opts) no matter how many threads run it.
     The threads work whole restarts, or, with one restart, that restart's row
     chunks and fits. Cost ties break toward the lowest restart index.
     """
@@ -384,8 +391,7 @@ def brute_force(points, k: int, j: int) -> Clustering:
         if got is not None:
             return got
         block = points[rows]
-        eig = np.linalg.eigvalsh(block.T @ block)  # ascending
-        tail = float(np.sum(np.maximum(eig[: max(d - j, 0)], 0.0)))
+        tail = float(np.sum(_gram_eigh(block.T @ block)[0][j:]))
         cache[key] = tail
         return tail
 
@@ -434,14 +440,13 @@ def allocate_dims(points, assignment, total_dims: int, k: int | None = None) -> 
     if total_dims > k * d:
         raise ParameterError(f"total_dims {total_dims} exceeds k*d = {k * d}")
 
-    # Per-cluster squared singular values, descending, zero-padded to length d.
+    # Per-cluster squared singular values, descending; an empty cluster's are 0.
     spectra = np.zeros((k, d))
-    for c in range(k):
-        block = points[a == c]
-        if block.shape[0] == 0:
-            continue
-        eig = np.maximum(np.linalg.eigvalsh(block.T @ block), 0.0)
-        spectra[c] = eig[::-1]
+    with _one_blas_thread:
+        for c in range(k):
+            block = points[a == c]
+            if block.shape[0]:
+                spectra[c] = _gram_eigh(block.T @ block)[0]
 
     dims = [1] * k
     for _ in range(total_dims - k):

@@ -91,6 +91,12 @@ class MessiFactorization:
         return tuple(b.row_ids.size for b in self.blocks)
 
 
+def _cluster_rows(assignment: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each cluster's row ids, ascending, from one stable argsort of ids in [0, k)."""
+    order = np.argsort(assignment, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(assignment, minlength=k))[:-1])
+
+
 def _validate_factorization(f: MessiFactorization) -> np.ndarray:
     """Check the invariants and return each row's position inside its block."""
     if f.n < 1 or f.d < 1:
@@ -99,20 +105,14 @@ def _validate_factorization(f: MessiFactorization) -> np.ndarray:
         raise ParameterError(f"expected {f.k} blocks and dims, got {len(f.blocks)}/{len(f.dims)}")
     if f.assignment.shape != (f.n,):
         raise ParameterError(f"assignment must have length n={f.n}")
-    seen = np.zeros(f.n, dtype=bool)
+    if f.assignment.min() < 0 or f.assignment.max() >= f.k:
+        raise ParameterError(f"assignment contains ids outside [0, {f.k})")
     positions = np.empty(f.n, dtype=np.int64)
-    for c, b in enumerate(f.blocks):
-        ids = b.row_ids
-        if ids.ndim != 1 or np.any(np.diff(ids) <= 0):
-            raise ParameterError(f"block {c} row_ids must be strictly increasing")
-        if ids.size and (ids.min() < 0 or ids.max() >= f.n):
-            raise ParameterError(f"block {c} row_ids out of range [0, {f.n})")
-        if np.any(seen[ids]):
-            raise ParameterError(f"block {c} row_ids overlap another block")
-        seen[ids] = True
-        positions[ids] = np.arange(ids.size)
-        if not np.array_equal(np.flatnonzero(f.assignment == c), ids):
+    # Equal to the assignment's clusters, the row_ids are sorted, disjoint and cover all rows.
+    for c, (b, ids) in enumerate(zip(f.blocks, _cluster_rows(f.assignment, f.k))):
+        if not np.array_equal(b.row_ids, ids):
             raise ParameterError(f"assignment disagrees with block {c} row_ids")
+        positions[ids] = np.arange(ids.size)
         j = f.dims[c]
         if b.u.shape != (ids.size, j):
             raise ParameterError(f"block {c} u has shape {b.u.shape}, expected {(ids.size, j)}")
@@ -122,8 +122,6 @@ def _validate_factorization(f: MessiFactorization) -> np.ndarray:
             dev = float(np.max(np.abs(b.v @ b.v.T - np.eye(j))))
             if dev > ORTHONORMALITY_TOL:
                 raise ParameterError(f"block {c} v rows are not orthonormal (max deviation {dev:.3e})")
-    if not seen.all():
-        raise ParameterError("blocks do not cover every row")
     return positions
 
 
@@ -196,10 +194,8 @@ def build_factorization(a, clustering: Clustering) -> MessiFactorization:
         if s.ambient != d:
             raise ParameterError(f"subspace ambient {s.ambient} does not match matrix columns {d}")
     blocks = []
-    for c, s in enumerate(clustering.subspaces):
-        ids = np.flatnonzero(clustering.assignment == c)
-        u = a[ids] @ s.basis.T
-        blocks.append(Block(row_ids=ids, u=u, v=s.basis))
+    for s, ids in zip(clustering.subspaces, _cluster_rows(clustering.assignment, clustering.k)):
+        blocks.append(Block(row_ids=ids, u=a[ids] @ s.basis.T, v=s.basis))
     return MessiFactorization(
         n=n,
         d=d,

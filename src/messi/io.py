@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError, MessiError
-from .factorization import Block, MessiFactorization
+from .factorization import Block, MessiFactorization, _cluster_rows
 
 _MAGIC = b"\x93NUMPY"
 _VERSION = b"\x01\x00"
@@ -304,10 +304,9 @@ def load_bundle(directory) -> MessiFactorization:
     if assignment.size and (assignment.min() < 0 or assignment.max() >= k):
         raise FormatError(f"{directory}: assignment contains ids outside [0, {k})")
     blocks = []
-    for c in range(k):
+    for c, ids in enumerate(_cluster_rows(assignment, k)):
         u = _read_npy(os.path.join(directory, f"u_{c}.npy"), ("<f8",), 2).astype(np.float64)
         v = _read_npy(os.path.join(directory, f"v_{c}.npy"), ("<f8",), 2).astype(np.float64)
-        ids = np.flatnonzero(assignment == c)
         if u.shape != (ids.size, dims[c]):
             raise FormatError(
                 f"{directory}: u_{c} has shape {u.shape}, meta implies {(ids.size, dims[c])}"

@@ -205,8 +205,13 @@ def best_fit_subspace(points, j: int) -> Subspace:
         return Subspace(np.empty((0, d)))
     if j == d:
         return Subspace(np.eye(d))
-    _, vecs = np.linalg.eigh(points.T @ points)  # ascending eigenvalues
-    return Subspace(vecs[:, ::-1][:, :j].T)
+    return Subspace(_gram_eigh(points.T @ points)[1][:, :j].T)
+
+
+def _gram_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A d x d Gram matrix's eigenvalues, descending and clamped at 0, and eigenvector columns."""
+    vals, vecs = np.linalg.eigh(gram)  # ascending
+    return np.maximum(vals[::-1], 0.0), vecs[:, ::-1]
 
 
 def project(point, s: Subspace) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Independent oracles used to freeze and check expected values.
 
-None of these reuse the library's SVD-based code paths: fit costs come from
-Gram-matrix eigenvalues, distances from explicit projection residuals, and
-optima from exhaustive enumeration.
+None of these reuse the library's code paths (which fit subspaces from
+`eigh` of each cluster's Gram matrix): fit costs come from `eigvalsh`
+eigenvalue tails, distances from explicit projection residuals, and optima
+from exhaustive enumeration.
 """
 
 import itertools
@@ -18,14 +19,14 @@ def gram_eig_tail(points, j: int) -> float:
     return float(np.sum(np.maximum(eig[: max(d - j, 0)], 0.0)))
 
 
-def pointwise_cost(points, assignment, subspaces, q: float = 2.0) -> float:
+def pointwise_cost(points, assignment, subspaces) -> float:
     """Clustering cost recomputed row by row from explicit projection residuals."""
     points = np.asarray(points, dtype=np.float64)
     total = 0.0
     for x, c in zip(points, assignment):
         b = subspaces[c].basis
         residual = x - b.T @ (b @ x)
-        total += float(residual @ residual) ** (q / 2.0)
+        total += float(residual @ residual)
     return total
 
 
@@ -41,7 +42,7 @@ def naive_frobenius(a, b) -> float:
 
 
 def best_dim_composition_cost(points, assignment, k: int, total_dims: int) -> float:
-    """Minimum q=2 cost over all per-cluster dim compositions with the given sum.
+    """Minimum cost over all per-cluster dim compositions with the given sum.
 
     Every cluster gets between 1 and d dimensions; cost of a composition is
     the sum of per-cluster Gram eigenvalue tails.

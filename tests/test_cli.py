@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 import messi
 from messi.cli import main
+from messi.linalg import _blas_threads, _set_blas_threads
 from oracles import gram_eig_tail
 
 
@@ -26,6 +27,22 @@ def write_planted(path, n=20, d=10, k_true=2, j_true=3, noise=0.01, seed=3):
     a, _ = messi.generate_planted(spec)
     messi.save_matrix(a, path)
     return a
+
+
+def write_mixed_ranks(path):
+    """450x12: 150 rows near each of three subspaces of ranks 1, 3 and 8, plus noise."""
+    rng = np.random.default_rng(9)
+    blocks = []
+    for r in (1, 3, 8):
+        q, _ = np.linalg.qr(rng.standard_normal((12, r)))
+        blocks.append(rng.uniform(-1, 1, (150, r)) @ q.T)
+    a = np.vstack(blocks) + 0.05 * rng.standard_normal((450, 12))
+    messi.save_matrix(a, path)
+    return a
+
+
+def bundle_bytes(path):
+    return b"".join(p.read_bytes() for p in sorted(path.iterdir()))
 
 
 def stdout_value(output, key):
@@ -77,6 +94,50 @@ class TestCompress:
         assert sum(meta["dims"]) == 6
         # Rank-2 planted clusters: extra dims carry no energy, cost stays ~0.
         assert meta["cost"] <= 1e-10
+
+    def test_dims_auto_reassigns_rows(self, runner, tmp_path):
+        # A single refit after the reallocation leaves dims [5, 3, 4] at cost
+        # 86.69, with 26 rows off their nearest subspace; EM from there reaches 75.01.
+        a = write_mixed_ranks(tmp_path / "a.npy")
+        result = invoke(runner, [
+            "--seed", "42", "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "3", "--j", "4", "--restarts", "4", "--dims-auto",
+            "--output", str(tmp_path / "b"),
+        ])
+        assert result.exit_code == 0
+        f = messi.load_bundle(tmp_path / "b")
+        assert sum(f.dims) == 12
+        assert float(stdout_value(result.output, "cost")) < 78
+        dists = np.stack([np.sum((a - a @ b.v.T @ b.v) ** 2, axis=1) for b in f.blocks], axis=1)
+        own = dists[np.arange(a.shape[0]), f.assignment]
+        assert np.all(own <= dists.min(axis=1) + 1e-12)
+        evaluated = invoke(runner, [
+            "evaluate", "--input", str(tmp_path / "a.npy"), "--bundle", str(tmp_path / "b"),
+        ])
+        assert evaluated.exit_code == 0
+        assert "residual_identity=ok" in evaluated.output
+
+    def test_dims_auto_identical_across_threads_and_blas_threads(self, runner, tmp_path):
+        saved = _blas_threads()
+        if saved is None:
+            pytest.skip("no hook to numpy's OpenBLAS thread count was found, so it cannot be set")
+        write_mixed_ranks(tmp_path / "a.npy")
+        outputs = []
+        try:
+            for blas in (1, 2):
+                _set_blas_threads(blas)
+                for threads in ("1", "2"):
+                    out = tmp_path / f"b{blas}{threads}"
+                    result = invoke(runner, [
+                        "--threads", threads, "--quiet", "compress",
+                        "--input", str(tmp_path / "a.npy"), "--k", "3", "--j", "4",
+                        "--restarts", "4", "--dims-auto", "--output", str(out),
+                    ])
+                    assert result.exit_code == 0
+                    outputs.append((result.output, bundle_bytes(out)))
+        finally:
+            _set_blas_threads(saved)
+        assert all(o == outputs[0] for o in outputs[1:])
 
     def test_usage_errors(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")
@@ -162,6 +223,26 @@ class TestCompress:
         ])
         assert result.exit_code == 1
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["compress", "--k", "0", "--j", "3"],
+    ["compress", "--k", "2", "--j", "0"],
+    ["compress", "--k", "2", "--budget", "0"],
+    ["compress", "--k", "2", "--j", "3", "--restarts", "0"],
+    ["compress", "--k", "2", "--j", "3", "--max-iters", "0"],
+    ["compress", "--k", "2", "--j", "3", "--tol", "0"],
+    ["compress", "--k", "2", "--j", "3", "--tol", "-1e-6"],
+    ["sweep", "--k-list", "1", "--budget-list", "120", "--restarts", "0"],
+], ids=" ".join)
+def test_out_of_range_option_exit_2(runner, tmp_path, args):
+    write_planted(tmp_path / "a.npy")
+    result = invoke(runner, [
+        args[0], "--input", str(tmp_path / "a.npy"), *args[1:], "--output", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 2
+    assert "clustering" not in result.output
+    assert not (tmp_path / "x").exists()
 
 
 class TestEvaluate:

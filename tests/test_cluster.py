@@ -61,14 +61,13 @@ class TestClusteringCost:
         subs = [Subspace(np.eye(3)[:2])]
         assert clustering_cost(pts, [0], subs) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("q", [2.0])
-    def test_matches_pointwise_oracle(self, q):
+    def test_matches_pointwise_oracle(self):
         rng = np.random.default_rng(12)
         pts = rng.standard_normal((15, 4))
         subs = [best_fit_subspace(rng.standard_normal((6, 4)), 2) for _ in range(3)]
         labels = rng.integers(0, 3, size=15)
         got = clustering_cost(pts, labels, subs)
-        assert got == pytest.approx(pointwise_cost(pts, labels, subs, q=q), rel=1e-10)
+        assert got == pytest.approx(pointwise_cost(pts, labels, subs), rel=1e-10)
 
     def test_invalid_ids(self):
         pts = np.eye(3)
@@ -213,6 +212,19 @@ class TestEmRun:
             assert all(h[i + 1] <= h[i] * (1 + 1e-12) + 1e-15 for i in range(len(h) - 1))
             assert result.cost == h[-1]
 
+    @pytest.mark.parametrize("init", ["random-partition", "sampled-rows"])
+    def test_per_cluster_dims(self, init):
+        rng = np.random.default_rng(40)
+        pts = rng.standard_normal((60, 8))
+        dims = [1, 4, 2]
+        for seed in range(4):
+            result = em_run(pts, 3, dims, EmOptions(seed=seed, init=init))
+            assert [s.dim for s in result.subspaces] == dims
+            h = result.cost_history
+            assert all(h[i + 1] <= h[i] * (1 + 1e-12) + 1e-15 for i in range(len(h) - 1))
+            assert result.cost == pytest.approx(
+                clustering_cost(pts, result.assignment, result.subspaces), rel=1e-10)
+
     def test_stepwise_monotonicity(self):
         # Cost never increases after an assign step or a refit step.
         rng = np.random.default_rng(22)
@@ -303,6 +315,17 @@ class TestEmMultiRestart:
             opts = EmOptions(restarts=restarts, seed=11)
             costs.append(em_multi_restart(pts, 2, 1, opts).cost)
         assert costs[1] <= costs[0] and costs[2] <= costs[1]
+
+    def test_per_cluster_dims(self):
+        rng = np.random.default_rng(41)
+        pts = rng.standard_normal((60, 8))
+        dims = (3, 1)
+        opts = EmOptions(restarts=4, seed=2)
+        result = em_multi_restart(pts, 2, dims, opts, threads=2)
+        assert [s.dim for s in result.subspaces] == list(dims)
+        h = result.cost_history
+        assert all(h[i + 1] <= h[i] * (1 + 1e-12) + 1e-15 for i in range(len(h) - 1))
+        assert result.cost == min(em_run(pts, 2, dims, opts, i).cost for i in range(4))
 
     def test_deterministic_across_runs_and_threads(self):
         rng = np.random.default_rng(28)

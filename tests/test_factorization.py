@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from messi import (
+    Block,
     Clustering,
     EmOptions,
+    MessiFactorization,
     ParameterError,
     Subspace,
     assemble_sparse,
@@ -107,6 +109,49 @@ class TestBuildFactorization:
         assert fact.blocks[1].u.shape == (0, 1)
         # The empty cluster still contributes its basis parameters.
         assert fact.param_count() == 5 * 1 + 2 * 1 * 3
+
+
+class TestPartitionChecks:
+    @staticmethod
+    def rebuild(f, c, row_ids, u, assignment=None):
+        """f with block c replaced; u keeps its shape consistent with row_ids."""
+        blocks = list(f.blocks)
+        blocks[c] = Block(row_ids=row_ids, u=u, v=f.blocks[c].v)
+        return MessiFactorization(
+            n=f.n, d=f.d, k=f.k, dims=f.dims, blocks=tuple(blocks),
+            assignment=f.assignment if assignment is None else assignment,
+        )
+
+    def test_hand_built_copy_accepted(self):
+        f = mixed_dims_factorization()
+        b = f.blocks[0]
+        g = self.rebuild(f, 0, b.row_ids.copy(), b.u.copy())
+        np.testing.assert_array_equal(g.positions, f.positions)
+
+    @pytest.mark.parametrize("case", ["unsorted", "overlapping", "missing"])
+    def test_bad_row_ids_rejected(self, case):
+        f = mixed_dims_factorization()
+        ids, u = f.blocks[0].row_ids, f.blocks[0].u
+        if case == "unsorted":
+            ids, u = ids[::-1], u[::-1]
+        elif case == "overlapping":
+            # Block 0 also claims block 2's first row.
+            extra = f.blocks[2].row_ids[0]
+            ids = np.sort(np.append(ids, extra))
+            u = np.zeros((ids.size, u.shape[1]))
+        else:
+            ids, u = ids[:-1], u[:-1]
+        with pytest.raises(ParameterError, match="row_ids"):
+            self.rebuild(f, 0, ids, u)
+
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_assignment_out_of_range_rejected(self, bad_id):
+        f = mixed_dims_factorization()
+        assignment = f.assignment.copy()
+        assignment[f.blocks[0].row_ids[0]] = bad_id
+        b = f.blocks[0]
+        with pytest.raises(ParameterError, match="outside"):
+            self.rebuild(f, 0, b.row_ids, b.u, assignment=assignment)
 
 
 class TestSparseAssembly:
