@@ -86,8 +86,8 @@ def _progress(ctx_obj):
               help="Parameter budget; picks the largest j that fits.")
 @click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--max-iters", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-6,
-              show_default=True, help="Relative cost-improvement stopping threshold.")
+@click.option("--tol", type=float, default=1e-6,
+              show_default=True, help="Relative cost-improvement stopping threshold, > 0.")
 @click.option("--init", type=click.Choice(INIT_METHODS), default="random-partition",
               show_default=True)
 @click.option("--dims-auto", is_flag=True,
@@ -104,6 +104,8 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, init,
     """Cluster the rows of a matrix and write the factorization bundle."""
     if (j is None) == (budget is None):
         raise click.UsageError("exactly one of --j / --budget must be given")
+    if not tol > 0:  # also NaN, which click.FloatRange lets through
+        raise click.BadParameter(f"{tol} is not > 0", param_hint="'--tol'")
     bundle_io.check_bundle_target(output)
     a = bundle_io.load_matrix(input_path)
     n, d = a.shape

@@ -2,10 +2,11 @@
 
 A clustering of the rows of A among k subspaces turns into one coefficient
 block U^i (n_i x j_i) and one basis block V^i (j_i x d) per cluster; stacking
-the V blocks and scattering the U blocks into a block-sparse n x (sum j_i)
-matrix reproduces A row-for-row as U_sparse @ V_stacked. Rows keep their
-original indices throughout; the assignment list is the single source of
-truth for the sparse pattern.
+the V blocks and placing the U blocks in a block-sparse n x (sum j_i) matrix
+reproduces A row-for-row as U_sparse @ V_stacked. Each number is stored once,
+in a cluster-major coefficient buffer (U^0, U^1, ... back to back) and the
+stacked bases. The assignment is the only record of the partition; the
+blocks, row positions and the sparse layer's row_starts derive from it.
 
 The compressed layer's forward pass is lookup(f, ids): it groups the ids by
 cluster and runs one (rows x j_i) @ (j_i x d) product per cluster, finding
@@ -38,50 +39,51 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One cluster's factor pair: row_ids (sorted), u (n_i x j_i), v (j_i x d)."""
+    """One cluster's row_ids (ascending) and factor pair, u (n_i x j_i) and
+    v (j_i x d), as read-only views of its factorization's buffers."""
 
     row_ids: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "row_ids", np.asarray(self.row_ids, dtype=np.int64))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.float64))
-
 
 @dataclass(frozen=True, eq=False)
 class MessiFactorization:
-    """Per-cluster factor blocks whose union reconstructs an n x d matrix.
+    """Per-cluster factor pairs whose union reconstructs an n x d matrix.
 
-    The blocks' row_ids partition {0, ..., n-1}; assignment is the inverse
-    map. Each v block has orthonormal rows, so u rows are projection
-    coefficients and u @ v is the projection of the cluster's rows onto its
-    subspace. positions is the row index inside the block: row z is
-    blocks[assignment[z]].u[positions[z]].
+    values is every coefficient once, cluster-major: blocks[0].u row-major
+    with its rows ascending, then blocks[1].u, and so on; v_stacked
+    (sum(dims) x d) is blocks[0].v, blocks[1].v, ... The three arrays are
+    taken without a copy and kept read-only. blocks (views of the buffers)
+    and positions derive from assignment: row z is
+    blocks[assignment[z]].u[positions[z]]. Each v block has orthonormal rows,
+    so u @ v is the projection of the cluster's rows onto its subspace.
     """
 
     n: int
     d: int
     k: int
     dims: tuple[int, ...]
-    blocks: tuple[Block, ...]
     assignment: np.ndarray
+    values: np.ndarray
+    v_stacked: np.ndarray
+    blocks: tuple[Block, ...] = field(init=False, repr=False)
     positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64).copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "dims", tuple(int(j) for j in self.dims))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        positions = _validate_factorization(self)
+        for name, dtype in (("assignment", np.int64), ("values", float), ("v_stacked", float)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        blocks, positions = _derive_blocks(self)
         positions.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "positions", positions)
 
     def param_count(self) -> int:
-        """Stored values across all blocks: sum(n_i * j_i) + sum(j_i * d)."""
-        return sum(b.u.size + b.v.size for b in self.blocks)
+        """Stored values: sum(n_i * j_i) + sum(j_i * d)."""
+        return self.values.size + self.v_stacked.size
 
     def compression_rate(self) -> float:
         """1 - params / (n * d); larger is smaller."""
@@ -94,55 +96,66 @@ class MessiFactorization:
 def _cluster_rows(assignment: np.ndarray, k: int) -> list[np.ndarray]:
     """Each cluster's row ids, ascending, from one stable argsort of ids in [0, k)."""
     order = np.argsort(assignment, kind="stable")
+    order.flags.writeable = False
     return np.split(order, np.cumsum(np.bincount(assignment, minlength=k))[:-1])
 
 
-def _validate_factorization(f: MessiFactorization) -> np.ndarray:
-    """Check the invariants and return each row's position inside its block."""
+def _block_views(values, v_stacked, sizes, dims) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cluster c's (u, v) views of the two buffers: u is sizes[c] x dims[c], v dims[c] x d."""
+    us = np.split(values, np.cumsum(np.multiply(sizes, dims))[:-1])
+    vs = np.split(v_stacked, np.cumsum(dims)[:-1])
+    return [(u.reshape(s, j), v) for u, v, s, j in zip(us, vs, sizes, dims)]
+
+
+def _derive_blocks(f: MessiFactorization) -> tuple[tuple[Block, ...], np.ndarray]:
+    """Check the invariants; return the blocks and each row's position inside its block."""
     if f.n < 1 or f.d < 1:
         raise ParameterError(f"factorization needs n >= 1 and d >= 1, got n={f.n}, d={f.d}")
-    if f.k < 1 or len(f.blocks) != f.k or len(f.dims) != f.k:
-        raise ParameterError(f"expected {f.k} blocks and dims, got {len(f.blocks)}/{len(f.dims)}")
+    if f.k < 1 or len(f.dims) != f.k or min(f.dims) < 0:
+        raise ParameterError(f"expected {f.k} nonnegative dims, got {f.dims}")
     if f.assignment.shape != (f.n,):
         raise ParameterError(f"assignment must have length n={f.n}")
     if f.assignment.min() < 0 or f.assignment.max() >= f.k:
         raise ParameterError(f"assignment contains ids outside [0, {f.k})")
+    rows = _cluster_rows(f.assignment, f.k)
+    sizes = [ids.size for ids in rows]
+    shapes = {"values": (int(np.dot(sizes, f.dims)),), "v_stacked": (sum(f.dims), f.d)}
+    for name, shape in shapes.items():
+        if getattr(f, name).shape != shape:
+            raise ParameterError(f"{name} has shape {getattr(f, name).shape}, expected {shape}")
+    views = _block_views(f.values, f.v_stacked, sizes, f.dims)
     positions = np.empty(f.n, dtype=np.int64)
-    # Equal to the assignment's clusters, the row_ids are sorted, disjoint and cover all rows.
-    for c, (b, ids) in enumerate(zip(f.blocks, _cluster_rows(f.assignment, f.k))):
-        if not np.array_equal(b.row_ids, ids):
-            raise ParameterError(f"assignment disagrees with block {c} row_ids")
+    blocks = []
+    for c, (ids, (u, v)) in enumerate(zip(rows, views)):
         positions[ids] = np.arange(ids.size)
-        j = f.dims[c]
-        if b.u.shape != (ids.size, j):
-            raise ParameterError(f"block {c} u has shape {b.u.shape}, expected {(ids.size, j)}")
-        if b.v.shape != (j, f.d):
-            raise ParameterError(f"block {c} v has shape {b.v.shape}, expected {(j, f.d)}")
-        if j > 0:
-            dev = float(np.max(np.abs(b.v @ b.v.T - np.eye(j))))
+        if v.size:
+            dev = float(np.max(np.abs(v @ v.T - np.eye(v.shape[0]))))
             if dev > ORTHONORMALITY_TOL:
                 raise ParameterError(f"block {c} v rows are not orthonormal (max deviation {dev:.3e})")
-    return positions
+        blocks.append(Block(row_ids=ids, u=u, v=v))
+    return tuple(blocks), positions
 
 
 @dataclass(frozen=True, eq=False)
 class SparseAssembly:
     """Block-sparse U next to the stacked V, realizing A ~ U_sparse @ V_stacked.
 
-    U_sparse is n x total_dims but stores only each row's contiguous run of
-    nonzeros: row z holds row_widths[z] values starting at column
-    col_offsets[z] (the offset of its cluster's block). Every other entry is
-    a structural zero. V_stacked is the dense (total_dims x d) stack of the
-    per-cluster bases; offsets[c] is the first column of cluster c.
+    U_sparse is n x total_dims but stores only each row's run of nonzeros:
+    row z holds values[row_starts[z]:][:w], w = row_widths()[z], in the w
+    columns from col_offsets[z] (its cluster's offsets[c]) on. values and
+    v_stacked are the factorization's own buffers; values is cluster-major,
+    so a cluster's runs sit back to back in ascending row order.
     """
 
     n: int
     total_dims: int
+    dims: np.ndarray
+    offsets: np.ndarray
+    assignment: np.ndarray
     col_offsets: np.ndarray
-    indptr: np.ndarray
+    row_starts: np.ndarray
     values: np.ndarray
     v_stacked: np.ndarray
-    offsets: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -150,39 +163,36 @@ class SparseAssembly:
 
     def row_widths(self) -> np.ndarray:
         """Structural nonzero count of each U row."""
-        return np.diff(self.indptr)
+        return self.dims[self.assignment]
 
     def u_dense(self) -> np.ndarray:
         """Materialize U_sparse as a dense n x total_dims array."""
-        rows = np.repeat(np.arange(self.n), self.row_widths())
-        cols = self.col_offsets[rows] + np.arange(self.values.size) - self.indptr[rows]
+        widths = self.row_widths()
+        rows = np.repeat(np.arange(self.n), widths)
+        within = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths, widths)
         u = np.zeros((self.n, self.total_dims))
-        u[rows, cols] = self.values
+        u[rows, self.col_offsets[rows] + within] = self.values[self.row_starts[rows] + within]
         return u
 
     def product(self) -> np.ndarray:
-        """U_sparse @ V_stacked computed from the sparse rows only, one GEMM per cluster.
-
-        A cluster of width 0 shares its offset with the next cluster, so a
-        cluster's rows are those with both its offset and its width.
-        """
+        """U_sparse @ V_stacked from the sparse rows only: one GEMM per cluster,
+        over the cluster's runs as one contiguous slice of values."""
         out = np.zeros((self.n, self.v_stacked.shape[1]))
-        widths = self.row_widths()
-        ends = np.append(self.offsets[1:], self.total_dims)
-        for start, width in zip(self.offsets, ends - self.offsets):
-            if width == 0:
-                continue
-            rows = np.flatnonzero((self.col_offsets == start) & (widths == width))
-            runs = self.values[self.indptr[rows][:, None] + np.arange(width)]
-            out[rows] = runs @ self.v_stacked[start : start + width]
+        for c, (start, width) in enumerate(zip(self.offsets, self.dims)):
+            rows = np.flatnonzero(self.assignment == c)
+            if width and rows.size:
+                base = self.row_starts[rows[0]]
+                runs = self.values[base : base + rows.size * width].reshape(rows.size, width)
+                out[rows] = runs @ self.v_stacked[start : start + width]
         return out
 
 
 def build_factorization(a, clustering: Clustering) -> MessiFactorization:
     """Group rows by cluster and factor each group over its fitted subspace.
 
-    Row z of cluster c contributes coefficients basis_c @ row to u, so
-    u @ v is the orthogonal projection of the cluster's rows.
+    Row z of cluster c contributes coefficients basis_c @ row to u, written
+    straight into u's slice of values, so u @ v is the orthogonal projection
+    of the cluster's rows.
     """
     a = as_matrix(a)
     n, d = a.shape
@@ -193,47 +203,30 @@ def build_factorization(a, clustering: Clustering) -> MessiFactorization:
     for s in clustering.subspaces:
         if s.ambient != d:
             raise ParameterError(f"subspace ambient {s.ambient} does not match matrix columns {d}")
-    blocks = []
-    for s, ids in zip(clustering.subspaces, _cluster_rows(clustering.assignment, clustering.k)):
-        blocks.append(Block(row_ids=ids, u=a[ids] @ s.basis.T, v=s.basis))
-    return MessiFactorization(
-        n=n,
-        d=d,
-        k=clustering.k,
-        dims=tuple(s.dim for s in clustering.subspaces),
-        blocks=tuple(blocks),
-        assignment=clustering.assignment,
-    )
+    subs, rows = clustering.subspaces, _cluster_rows(clustering.assignment, clustering.k)
+    sizes, dims = [ids.size for ids in rows], [s.dim for s in subs]
+    values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
+    for s, ids, (u, v) in zip(subs, rows, _block_views(values, v_stacked, sizes, dims)):
+        np.matmul(a[ids], s.basis.T, out=u)
+        v[...] = s.basis
+    return MessiFactorization(n=n, d=d, k=clustering.k, dims=dims, assignment=clustering.assignment,
+                              values=values, v_stacked=v_stacked)
 
 
 def assemble_sparse(f: MessiFactorization) -> SparseAssembly:
-    """Scatter the U blocks into the block-sparse layout and stack the V blocks.
+    """The block-sparse layout over f's own buffers; no float is copied.
 
-    Row z gets exactly dims[assignment[z]] structural nonzeros, located in its
-    cluster's column block; the nonzero total is sum(n_i * j_i).
+    Row z of cluster c has dims[c] nonzeros, starting at row_starts[z] =
+    block_base[c] + positions[z] * dims[c], block_base[c] being u_c's offset.
     """
-    offsets = np.concatenate(([0], np.cumsum(f.dims)))[: f.k].astype(np.int64)
-    total = int(sum(f.dims))
-    widths = np.asarray(f.dims, dtype=np.int64)[f.assignment]
-    indptr = np.concatenate(([0], np.cumsum(widths))).astype(np.int64)
-    values = np.zeros(int(indptr[-1]))
-    for c, b in enumerate(f.blocks):
-        if b.row_ids.size == 0 or f.dims[c] == 0:
-            continue
-        starts = indptr[b.row_ids]
-        pos = starts[:, None] + np.arange(f.dims[c])[None, :]
-        values[pos.ravel()] = b.u.ravel()
-    v_stacked = (
-        np.vstack([b.v for b in f.blocks]) if total else np.empty((0, f.d))
-    )
+    dims = np.asarray(f.dims, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(dims)[:-1]))
+    block_base = np.concatenate(([0], np.cumsum(np.multiply(f.block_sizes(), dims))[:-1]))
     return SparseAssembly(
-        n=f.n,
-        total_dims=total,
+        n=f.n, total_dims=int(dims.sum()), dims=dims, offsets=offsets, assignment=f.assignment,
         col_offsets=offsets[f.assignment],
-        indptr=indptr,
-        values=values,
-        v_stacked=v_stacked,
-        offsets=offsets,
+        row_starts=block_base[f.assignment] + f.positions * dims[f.assignment],
+        values=f.values, v_stacked=f.v_stacked,
     )
 
 

@@ -11,7 +11,8 @@ or fail loudly.
 A factorization bundle is a directory holding meta.json, assignment.npy and
 per-cluster u_i.npy / v_i.npy files; save writes to a temporary sibling and
 renames, so failures never leave a partial bundle behind. Save replaces only
-an empty directory or a previous bundle, never other data.
+an empty directory or a previous bundle, never other data. Array bodies are
+written from and read into the arrays' own buffers, without a copy.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError, MessiError
-from .factorization import Block, MessiFactorization, _cluster_rows
+from .factorization import MessiFactorization, _block_views
 
 _MAGIC = b"\x93NUMPY"
 _VERSION = b"\x01\x00"
@@ -56,11 +57,12 @@ def _build_header(descr: str, shape: tuple[int, ...]) -> bytes:
 
 def _write_npy(path, arr: np.ndarray, descr: str) -> None:
     data = np.ascontiguousarray(arr).astype(descr, copy=False)
-    payload = _build_header(descr, data.shape) + data.tobytes()
-    _atomic_write_bytes(path, payload)
+    _atomic_write_bytes(path, _build_header(descr, data.shape), data)
 
 
-def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int) -> np.ndarray:
+def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int, out=None) -> np.ndarray:
+    """Validate an NPY 1.0 file and read its body into a new array, or into out: a
+    C-contiguous array of the shape the caller's metadata implies."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -97,14 +99,19 @@ def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int) -> np.n
             or not all(isinstance(s, int) and s >= 0 for s in shape)
         ):
             raise FormatError(f"{path}: shape {shape!r} is not a valid {expected_ndim}-d shape")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        itemsize = int(descr[2:])
-        body = fh.read(count * itemsize)
-        if len(body) != count * itemsize:
-            raise FormatError(f"{path}: data truncated ({len(body)} of {count * itemsize} bytes)")
-        if fh.read(1):
+        if out is not None and shape != out.shape:
+            raise FormatError(f"{path}: has shape {shape}, meta implies {out.shape}")
+        nbytes = math.prod(shape) * int(descr[2:])
+        # The body's size is checked against the file's before any allocation.
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < nbytes:
+            raise FormatError(f"{path}: data truncated ({available} of {nbytes} bytes)")
+        if available > nbytes:
             raise FormatError(f"{path}: trailing bytes after array data")
-    return np.frombuffer(body, dtype=descr).reshape(shape)
+        out = np.empty(shape, dtype=descr) if out is None else out
+        if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
+            raise FormatError(f"{path}: data truncated while reading")
+    return out
 
 
 def load_matrix(path) -> np.ndarray:
@@ -112,7 +119,7 @@ def load_matrix(path) -> np.ndarray:
     arr = _read_npy(path, allowed_descrs=("<f4", "<f8"), expected_ndim=2)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"{path}: matrix shape {arr.shape} has an empty axis")
-    m = arr.astype(np.float64)
+    m = arr.astype(np.float64, copy=False)
     if not np.all(np.isfinite(m)):
         raise InputError(f"{path}: matrix contains non-finite entries")
     return m
@@ -136,16 +143,18 @@ def save_index_vector(v, path) -> None:
 
 def load_index_vector(path) -> np.ndarray:
     """Load a 1-d "<i8" NPY 1.0 file."""
-    return _read_npy(path, allowed_descrs=("<i8",), expected_ndim=1).astype(np.int64)
+    return _read_npy(path, allowed_descrs=("<i8",), expected_ndim=1).astype(np.int64, copy=False)
 
 
-def _atomic_write_bytes(path, payload: bytes) -> None:
+def _atomic_write_bytes(path, *parts) -> None:
+    """Write the parts (bytes-like objects) to a temporary sibling, then rename it to path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -288,14 +297,14 @@ def _check_meta_values(meta: dict, path: str) -> None:
 def load_bundle(directory) -> MessiFactorization:
     """Load a bundle directory back into a factorization, verifying invariants.
 
-    Any disagreement between meta and the array shapes on disk, and any
-    violated structural invariant (row partition, orthonormal v blocks),
-    raises FormatError naming the failing piece.
+    Each u_c.npy / v_c.npy body is read straight into its slice of values /
+    v_stacked. Any disagreement between meta and the array shapes on disk,
+    and any violated structural invariant (assignment range, orthonormal v
+    blocks), raises FormatError naming the failing piece.
     """
     directory = os.fspath(directory)
     meta = load_bundle_meta(directory)
-    n, d, k = meta["n"], meta["d"], meta["k"]
-    dims = meta["dims"]
+    n, d, k, dims = meta["n"], meta["d"], meta["k"], meta["dims"]
     assignment = load_index_vector(os.path.join(directory, "assignment.npy"))
     if assignment.shape != (n,):
         raise FormatError(
@@ -303,23 +312,17 @@ def load_bundle(directory) -> MessiFactorization:
         )
     if assignment.size and (assignment.min() < 0 or assignment.max() >= k):
         raise FormatError(f"{directory}: assignment contains ids outside [0, {k})")
-    blocks = []
-    for c, ids in enumerate(_cluster_rows(assignment, k)):
-        u = _read_npy(os.path.join(directory, f"u_{c}.npy"), ("<f8",), 2).astype(np.float64)
-        v = _read_npy(os.path.join(directory, f"v_{c}.npy"), ("<f8",), 2).astype(np.float64)
-        if u.shape != (ids.size, dims[c]):
-            raise FormatError(
-                f"{directory}: u_{c} has shape {u.shape}, meta implies {(ids.size, dims[c])}"
-            )
-        if v.shape != (dims[c], d):
-            raise FormatError(
-                f"{directory}: v_{c} has shape {v.shape}, meta implies {(dims[c], d)}"
-            )
-        blocks.append(Block(row_ids=ids, u=u, v=v))
+    sizes = np.bincount(assignment, minlength=k)
+    try:  # before any array header is read, a corrupted meta can imply absurd sizes
+        values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
+    except (MemoryError, OverflowError, ValueError) as e:
+        raise FormatError(f"{directory}: meta implies arrays too large to allocate: {e}") from e
+    for c, (u, v) in enumerate(_block_views(values, v_stacked, sizes, dims)):
+        _read_npy(os.path.join(directory, f"u_{c}.npy"), ("<f8",), 2, out=u)
+        _read_npy(os.path.join(directory, f"v_{c}.npy"), ("<f8",), 2, out=v)
     try:
-        return MessiFactorization(
-            n=n, d=d, k=k, dims=tuple(dims), blocks=tuple(blocks), assignment=assignment
-        )
+        return MessiFactorization(n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
+                                  values=values, v_stacked=v_stacked)
     except MessiError as e:
         raise FormatError(f"{directory}: invariant violated: {e}") from e
 

@@ -233,6 +233,7 @@ class TestCompress:
     ["compress", "--k", "2", "--j", "3", "--max-iters", "0"],
     ["compress", "--k", "2", "--j", "3", "--tol", "0"],
     ["compress", "--k", "2", "--j", "3", "--tol", "-1e-6"],
+    ["compress", "--k", "2", "--j", "3", "--tol", "nan"],
     ["sweep", "--k-list", "1", "--budget-list", "120", "--restarts", "0"],
 ], ids=" ".join)
 def test_out_of_range_option_exit_2(runner, tmp_path, args):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from messi import (
-    Block,
     Clustering,
     EmOptions,
     MessiFactorization,
@@ -113,45 +112,61 @@ class TestBuildFactorization:
 
 class TestPartitionChecks:
     @staticmethod
-    def rebuild(f, c, row_ids, u, assignment=None):
-        """f with block c replaced; u keeps its shape consistent with row_ids."""
-        blocks = list(f.blocks)
-        blocks[c] = Block(row_ids=row_ids, u=u, v=f.blocks[c].v)
-        return MessiFactorization(
-            n=f.n, d=f.d, k=f.k, dims=f.dims, blocks=tuple(blocks),
-            assignment=f.assignment if assignment is None else assignment,
-        )
+    def rebuild(f, **inputs):
+        """A factorization from f's constructor inputs, with some of them replaced."""
+        fields = dict(n=f.n, d=f.d, k=f.k, dims=f.dims, assignment=f.assignment,
+                      values=f.values, v_stacked=f.v_stacked)
+        return MessiFactorization(**{**fields, **inputs})
 
     def test_hand_built_copy_accepted(self):
         f = mixed_dims_factorization()
-        b = f.blocks[0]
-        g = self.rebuild(f, 0, b.row_ids.copy(), b.u.copy())
+        g = self.rebuild(f, assignment=f.assignment.copy(), values=f.values.copy(),
+                         v_stacked=f.v_stacked.copy())
         np.testing.assert_array_equal(g.positions, f.positions)
-
-    @pytest.mark.parametrize("case", ["unsorted", "overlapping", "missing"])
-    def test_bad_row_ids_rejected(self, case):
-        f = mixed_dims_factorization()
-        ids, u = f.blocks[0].row_ids, f.blocks[0].u
-        if case == "unsorted":
-            ids, u = ids[::-1], u[::-1]
-        elif case == "overlapping":
-            # Block 0 also claims block 2's first row.
-            extra = f.blocks[2].row_ids[0]
-            ids = np.sort(np.append(ids, extra))
-            u = np.zeros((ids.size, u.shape[1]))
-        else:
-            ids, u = ids[:-1], u[:-1]
-        with pytest.raises(ParameterError, match="row_ids"):
-            self.rebuild(f, 0, ids, u)
+        for b, h in zip(f.blocks, g.blocks):
+            np.testing.assert_array_equal(h.row_ids, b.row_ids)
+            np.testing.assert_array_equal(h.u, b.u)
+            np.testing.assert_array_equal(h.v, b.v)
 
     @pytest.mark.parametrize("bad_id", [-1, 3])
     def test_assignment_out_of_range_rejected(self, bad_id):
         f = mixed_dims_factorization()
         assignment = f.assignment.copy()
         assignment[f.blocks[0].row_ids[0]] = bad_id
-        b = f.blocks[0]
         with pytest.raises(ParameterError, match="outside"):
-            self.rebuild(f, 0, b.row_ids, b.u, assignment=assignment)
+            self.rebuild(f, assignment=assignment)
+
+    def test_values_of_wrong_size_rejected(self):
+        f = mixed_dims_factorization()
+        with pytest.raises(ParameterError, match="values has shape"):
+            self.rebuild(f, values=f.values[:-1])
+
+    def test_v_stacked_of_wrong_shape_rejected(self):
+        f = mixed_dims_factorization()
+        with pytest.raises(ParameterError, match="v_stacked has shape"):
+            self.rebuild(f, v_stacked=f.v_stacked[:-1])
+
+
+class TestSingleCopy:
+    """Every coefficient and basis row is stored once: blocks and the sparse layer are views."""
+
+    @staticmethod
+    def assert_single_copy(f):
+        sa = assemble_sparse(f)
+        assert sa.values is f.values and sa.v_stacked is f.v_stacked
+        assert not f.values.flags.writeable and not f.v_stacked.flags.writeable
+        for b in f.blocks:
+            if b.u.size:
+                assert np.shares_memory(sa.values, b.u)
+            if b.v.size:
+                assert np.shares_memory(sa.v_stacked, b.v)
+
+    def test_built(self):
+        self.assert_single_copy(mixed_dims_factorization())
+
+    def test_loaded(self, tmp_path):
+        save_bundle(mixed_dims_factorization(), tmp_path / "b")
+        self.assert_single_copy(load_bundle(tmp_path / "b"))
 
 
 class TestSparseAssembly:
@@ -238,7 +253,7 @@ class TestSparseAssembly:
         u_ref = np.zeros(sa.shape)
         prod_ref = np.zeros_like(recon)
         for z in range(sa.n):
-            run = sa.values[sa.indptr[z] : sa.indptr[z + 1]]
+            run = sa.values[sa.row_starts[z] : sa.row_starts[z] + sa.row_widths()[z]]
             cols = slice(sa.col_offsets[z], sa.col_offsets[z] + run.size)
             u_ref[z, cols] = run
             prod_ref[z] = run @ sa.v_stacked[cols]

@@ -254,6 +254,31 @@ class TestBundleRoundTrip:
         with pytest.raises(FormatError, match="invariant|orthonormal"):
             load_bundle(bundle)
 
+    @pytest.mark.parametrize("name, tamper, match", [
+        ("u_1.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), "data truncated"),
+        ("v_0.npy", lambda path: path.write_bytes(path.read_bytes() + b"\x00"), "trailing bytes"),
+        ("u_0.npy", lambda path: mio._write_npy(path, np.load(path)[:-1], "<f8"), "meta implies"),
+    ])
+    def test_array_file_corruption_names_the_file(self, tmp_path, name, tamper, match):
+        _, clus, fact = make_factorization(seed=15)
+        assert min(fact.block_sizes()) > 0
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        tamper(bundle / name)
+        with pytest.raises(FormatError, match=f"{name}: .*{match}"):
+            load_bundle(bundle)
+
+    @pytest.mark.parametrize("key, value", [("d", 10**13), ("dims", [10**20, 2])])
+    def test_meta_implying_huge_arrays_rejected(self, tmp_path, key, value):
+        _, clus, fact = make_factorization(seed=16)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        meta = json.loads((bundle / "meta.json").read_text())
+        meta[key] = value
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="too large to allocate"):
+            load_bundle(bundle)
+
     def test_missing_array_file(self, tmp_path):
         _, clus, fact = make_factorization(seed=11)
         bundle = tmp_path / "b"
