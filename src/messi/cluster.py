@@ -23,6 +23,10 @@ the output bits are identical for every `threads` value and, when numpy's
 OpenBLAS is found, for every BLAS thread count. `allocate_dims` computes its
 spectra under the same pin, so `compress --dims-auto` runs pinned throughout;
 `refit_step` and `assign_step` run outside it, at the BLAS's own thread count.
+
+Reuse: a fit is a deterministic function of its rows, so `em_run` keeps the
+fit of each non-empty cluster whose rows are those of its last fit and the
+distance column of each kept fit; the bits are those of refitting everything.
 """
 
 from __future__ import annotations
@@ -178,18 +182,22 @@ def _check_dims(k: int, j: int | Sequence[int], d: int) -> list[int]:
     return dims
 
 
-def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces,
-                     run=_serial_map) -> tuple[np.ndarray, float]:
+def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces, run=_serial_map,
+                     dists: np.ndarray | None = None, prior=None) -> tuple[np.ndarray, float]:
     """Nearest-subspace assignment and its cost from one n x k distance pass.
 
     The pass runs over fixed chunks of _CHUNK_ROWS rows; the chunk costs are
-    added in chunk order.
+    added in chunk order. dists, when given, is an n x k buffer that already
+    holds the columns of the subspaces in prior; only the others are computed.
     """
+    dists = np.empty((points.shape[0], len(subspaces))) if dists is None else dists
+    stale = [c for c, s in enumerate(subspaces) if prior is None or s is not prior[c]]
+
     def chunk(start: int):
         rows = slice(start, start + _CHUNK_ROWS)
-        dists = np.stack([_distances_sq(points[rows], norms_sq[rows], s) for s in subspaces],
-                         axis=1)
-        return np.argmin(dists, axis=1), float(np.sum(np.min(dists, axis=1)))
+        for c in stale:
+            dists[rows, c] = _distances_sq(points[rows], norms_sq[rows], subspaces[c])
+        return np.argmin(dists[rows], axis=1), float(np.sum(np.min(dists[rows], axis=1)))
 
     parts = run(chunk, range(0, points.shape[0], _CHUNK_ROWS))
     return np.concatenate([a for a, _ in parts]).astype(np.int64), sum(c for _, c in parts)
@@ -216,15 +224,19 @@ def assign_step(points, subspaces) -> np.ndarray:
 
 
 def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
-           run=_serial_map) -> list[Subspace]:
+           run=_serial_map, kept=None) -> list[Subspace]:
     """Per-cluster best-fit refit with farthest-point healing of empty clusters.
 
     Each cluster's fit is one work unit; the healing runs serially after them.
+    kept[c], when not None, is a fit of exactly cluster c's rows and is
+    returned as it is.
     """
     n, d = points.shape
     k = len(dims)
 
     def fit(c: int) -> Subspace | None:
+        if kept and kept[c] is not None:
+            return kept[c]
         rows = points[assignment == c]
         return best_fit_subspace(rows, dims[c]) if rows.shape[0] else None
 
@@ -279,6 +291,10 @@ def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_inde
     returned assignment always comes from a final assignment pass, so at
     convergence no row strictly improves by switching clusters.
 
+    A refit keeps the fit of each non-empty cluster that no row entered or
+    left since that fit, and only new fits get their distances recomputed, so
+    an iteration that moves no row computes no fit and no distance.
+
     initial_assignment, when given, overrides opts.init (useful for warm
     starts and for reproducing planted partitions). threads runs the row
     chunks and the per-cluster fits in parallel; the result does not depend
@@ -292,23 +308,35 @@ def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_inde
 
     rng = np.random.default_rng(np.random.SeedSequence([opts.seed, restart_index]))
     with _one_blas_thread, _units(threads) as run:
+        fitted_from = None  # the assignment the current subspaces were fit from
         if initial_assignment is not None:
-            subspaces = _refit(points, _check_assignment(initial_assignment, n, k), dims, run)
+            fitted_from = _check_assignment(initial_assignment, n, k)
         elif opts.init == "random-partition":
-            subspaces = _refit(points, rng.integers(0, k, size=n), dims, run)
-        else:  # sampled-rows
+            fitted_from = rng.integers(0, k, size=n)
+        if fitted_from is None:  # sampled-rows
             samples = [rng.choice(n, size=min(dim, n), replace=False) for dim in dims]
             subspaces = run(lambda c: best_fit_subspace(points[samples[c]], dims[c]), range(k))
+        else:
+            subspaces = _refit(points, fitted_from, dims, run)
 
         norms_sq = _row_norms_sq(points)
-        assignment, cost = _assign_and_cost(points, norms_sq, subspaces, run)
+        dists = np.empty((n, k))
+        assignment, cost = _assign_and_cost(points, norms_sq, subspaces, run, dists)
         history = [cost]
         iterations = 0
         converged = False
         for _ in range(opts.max_iters):
             iterations += 1
-            subspaces = _refit(points, assignment, dims, run)
-            assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run)
+            kept = None
+            if fitted_from is not None:
+                # A non-empty cluster that no moved row leaves or enters keeps its fit.
+                moved = assignment != fitted_from
+                keep = np.bincount(assignment, minlength=k) > 0
+                keep[assignment[moved]] = keep[fitted_from[moved]] = False
+                kept = [s if keep[c] else None for c, s in enumerate(subspaces)]
+            prior, fitted_from = subspaces, assignment
+            subspaces = _refit(points, assignment, dims, run, kept)
+            assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run, dists, prior)
             history.append(new_cost)
             improvement = (cost - new_cost) / max(cost, _COST_EPS)
             cost = new_cost
@@ -334,10 +362,11 @@ def em_multi_restart(points, k: int, j: int | Sequence[int], opts: EmOptions,
     derived from (opts.seed, i), so the outcome is a pure function of
     (points, k, j, opts) no matter how many threads run it.
     The threads work whole restarts, or, with one restart, that restart's row
-    chunks and fits. Cost ties break toward the lowest restart index.
+    chunks and fits. Cost ties break toward the lowest restart index; with
+    k = 1 every restart ends on the fit of all rows, so only restart 0 runs.
     """
     points = as_matrix(points)
-    if opts.restarts == 1:
+    if opts.restarts == 1 or k == 1:
         return em_run(points, k, j, opts, 0, threads=threads)
     indices = range(opts.restarts)
     with _one_blas_thread, _units(threads) as run:

@@ -3,12 +3,25 @@
 None of these reuse the library's code paths (which fit subspaces from
 `eigh` of each cluster's Gram matrix): fit costs come from `eigvalsh`
 eigenvalue tails, distances from explicit projection residuals, and optima
-from exhaustive enumeration.
+from exhaustive enumeration. The one exception is `reference_em_run`, which
+drives the library's own refit and assignment steps without any reuse, to
+check that reuse changes no bit.
 """
 
 import itertools
 
 import numpy as np
+
+from messi.cluster import (
+    _COST_EPS,
+    Clustering,
+    _assign_and_cost,
+    _check_assignment,
+    _check_dims,
+    _refit,
+    _units,
+)
+from messi.linalg import _one_blas_thread, _row_norms_sq, as_matrix, best_fit_subspace
 
 
 def gram_eig_tail(points, j: int) -> float:
@@ -80,3 +93,45 @@ def same_subspace(s1, s2, tol: float = 1e-8) -> bool:
     p1 = s1.basis.T @ s1.basis
     p2 = s2.basis.T @ s2.basis
     return bool(np.max(np.abs(p1 - p2)) <= tol)
+
+
+def reference_em_run(points, k, j, opts, restart_index=0, initial_assignment=None, threads=1):
+    """em_run's loop with no reuse: every refit fits every cluster, every pass computes every column.
+
+    Returns (clustering, healed): healed counts the loop's refits that started
+    from an assignment with an empty cluster, so that the heal path ran.
+    """
+    points = as_matrix(points)
+    n, d = points.shape
+    dims = _check_dims(k, j, d)
+    rng = np.random.default_rng(np.random.SeedSequence([opts.seed, restart_index]))
+    healed = 0
+    with _one_blas_thread, _units(threads) as run:
+        if initial_assignment is not None:
+            subspaces = _refit(points, _check_assignment(initial_assignment, n, k), dims, run)
+        elif opts.init == "random-partition":
+            subspaces = _refit(points, rng.integers(0, k, size=n), dims, run)
+        else:  # sampled-rows
+            samples = [rng.choice(n, size=min(dim, n), replace=False) for dim in dims]
+            subspaces = run(lambda c: best_fit_subspace(points[samples[c]], dims[c]), range(k))
+
+        norms_sq = _row_norms_sq(points)
+        assignment, cost = _assign_and_cost(points, norms_sq, subspaces, run)
+        history = [cost]
+        iterations = 0
+        converged = False
+        for _ in range(opts.max_iters):
+            iterations += 1
+            healed += int(np.bincount(assignment, minlength=k).min() == 0)
+            subspaces = _refit(points, assignment, dims, run)
+            assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run)
+            history.append(new_cost)
+            improvement = (cost - new_cost) / max(cost, _COST_EPS)
+            cost = new_cost
+            if improvement < opts.rel_tol:
+                converged = True
+                break
+    clustering = Clustering(k=k, assignment=assignment, subspaces=tuple(subspaces), cost=cost,
+                            iterations=iterations, converged=converged,
+                            cost_history=tuple(history))
+    return clustering, healed

@@ -12,6 +12,7 @@ from messi import (
     ParameterError,
     SizeError,
     Subspace,
+    SynthSpec,
     allocate_dims,
     assign_step,
     best_fit_subspace,
@@ -19,15 +20,19 @@ from messi import (
     clustering_cost,
     em_multi_restart,
     em_run,
+    equal_budget_j,
+    generate_planted,
+    rate_to_budget,
     refit_step,
 )
-from messi.cluster import _CHUNK_ROWS, _assign_and_cost, _iter_partitions, _refit
+from messi.cluster import INIT_METHODS, _CHUNK_ROWS, _assign_and_cost, _iter_partitions, _refit
 from messi.linalg import _blas_threads, _row_norms_sq, _set_blas_threads
 from oracles import (
     best_dim_composition_cost,
     canonical_partition,
     gram_eig_tail,
     pointwise_cost,
+    reference_em_run,
     same_subspace,
 )
 
@@ -350,6 +355,120 @@ class TestThreadBudget:
             np.testing.assert_array_equal(other.assignment, results[0].assignment)
             for s, s0 in zip(other.subspaces, results[0].subspaces):
                 np.testing.assert_array_equal(s.basis, s0.basis)
+
+
+def crit6_matrix():
+    """The criterion-6 matrix: 2000x64 near 4 planted 8-dim subspaces."""
+    spec = SynthSpec(n=2000, d=64, k_true=4, j_true=8, noise_sigma=0.01, spread=1.0, seed=13)
+    return generate_planted(spec)[0]
+
+
+CRIT6_OPTIONS = EmOptions(restarts=8, max_iters=100, seed=17)
+CRIT6_J_AT_RATE_06 = 22  # equal_budget_j for k=4 at compression rate 0.6
+
+
+def assert_same_bits(got, want):
+    """Assignment, every basis, cost, cost_history, iterations and converged, byte for byte."""
+    assert got.assignment.tobytes() == want.assignment.tobytes()
+    assert [s.basis.tobytes() for s in got.subspaces] == [s.basis.tobytes() for s in want.subspaces]
+    assert (np.array([got.cost, *got.cost_history]).tobytes()
+            == np.array([want.cost, *want.cost_history]).tobytes())
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+def reuse_cases():
+    """(id, em_run args, em_run kwargs, whether the reference loop heals an empty cluster)."""
+    a = crit6_matrix()
+    cases = [(f"crit6-restart{i}", (a, 4, CRIT6_J_AT_RATE_06, CRIT6_OPTIONS, i), {}, False)
+             for i in range(4)]
+    cases.append(("sampled-rows", (a, 4, CRIT6_J_AT_RATE_06,
+                                   EmOptions(seed=17, init="sampled-rows"), 0), {}, False))
+    spec = SynthSpec(n=2 * _CHUNK_ROWS + 300, d=12, k_true=3, j_true=2, noise_sigma=0.3,
+                     spread=1.0, seed=5)
+    planted, labels = generate_planted(spec)
+    cases.append(("planted-init", (planted, 3, 2, EmOptions(seed=1)),
+                  {"initial_assignment": labels}, False))
+    pts = np.random.default_rng(43).standard_normal((300, 8))
+    cases.append(("per-cluster-dims", (pts, 3, [2, 3, 1], EmOptions(seed=3)), {}, False))
+    # Rows near the x and y axes, plus two rows on the z axis that clusters 2
+    # and 3 are healed onto. Both heals give the z axis, so cluster 2 wins the
+    # tie for both rows and cluster 3 enters the loop empty after cluster 0 changed.
+    rng = np.random.default_rng(0)
+    x = np.column_stack([rng.uniform(5, 8, 10), 0.1 * rng.standard_normal((10, 2))])
+    y = np.column_stack([0.1 * rng.standard_normal(10), rng.uniform(5, 8, 10),
+                         0.1 * rng.standard_normal(10)])
+    axes = np.vstack([x, y, [[0.0, 0.0, 5.0], [0.0, 0.0, 10.0]]])
+    cases.append(("empty-cluster", (axes, 4, 1, EmOptions(seed=0)),
+                  {"initial_assignment": [0] * 10 + [1] * 10 + [0, 0]}, True))
+    return cases
+
+
+class TestReuse:
+    """em_run keeps unchanged fits and distance columns, and that changes no bit."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", reuse_cases(), ids=lambda case: case[0])
+    def test_matches_reference_loop(self, case, threads):
+        _, args, kwargs, heals = case
+        want, healed = reference_em_run(*args, **kwargs, threads=threads)
+        assert (healed > 0) == heals
+        assert_same_bits(em_run(*args, **kwargs, threads=threads), want)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of best_fit_subspace and _distances_sq made through the cluster module."""
+        counts = {"fits": 0, "distances": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(messi.cluster, "best_fit_subspace",
+                            counting("fits", messi.cluster.best_fit_subspace))
+        monkeypatch.setattr(messi.cluster, "_distances_sq",
+                            counting("distances", messi.cluster._distances_sq))
+        return counts
+
+    def test_planted_partition_fits_once(self, counts):
+        pts, labels = two_lines_instance()
+        result = em_run(pts, 2, 1, EmOptions(seed=0), initial_assignment=labels)
+        assert result.iterations == 1 and result.converged
+        assert counts == {"fits": 2, "distances": 2}
+
+    def test_crit6_cell_saves_fits(self, counts):
+        a = crit6_matrix()
+        k = 4
+        results = [em_run(a, k, CRIT6_J_AT_RATE_06, CRIT6_OPTIONS, i) for i in range(8)]
+        without_reuse = sum((r.iterations + 1) * k for r in results)
+        assert counts["fits"] < without_reuse
+        assert counts["distances"] < without_reuse  # 2000 rows: one chunk per pass
+
+
+class TestOneRestartForK1:
+    @pytest.mark.parametrize("init", INIT_METHODS)
+    def test_k1_runs_restart_zero_once(self, init, monkeypatch):
+        a = crit6_matrix()
+        n, d = a.shape
+        opts = EmOptions(restarts=8, max_iters=100, seed=17, init=init)
+        real_em_run = messi.cluster.em_run
+        for rate in (0.3, 0.5, 0.6):
+            j = equal_budget_j(n, d, 1, rate_to_budget(rate, n, d))
+            runs = [real_em_run(a, 1, j, opts, i) for i in range(opts.restarts)]
+            # Every restart ends on the same cost, so restart 0 wins the tie.
+            assert all(r.cost == runs[0].cost for r in runs)
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args[4] if len(args) > 4 else 0)
+                return real_em_run(*args, **kwargs)
+
+            monkeypatch.setattr(messi.cluster, "em_run", counted)
+            got = em_multi_restart(a, 1, j, opts, threads=2)
+            monkeypatch.setattr(messi.cluster, "em_run", real_em_run)
+            assert calls == [0]
+            assert_same_bits(got, runs[0])
 
 
 @pytest.fixture
