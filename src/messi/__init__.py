@@ -11,14 +11,12 @@ from .cluster import (
     Clustering,
     EmOptions,
     allocate_dims,
-    assign_step,
-    brute_force,
     clustering_cost,
     em_multi_restart,
     em_run,
     refit_step,
 )
-from .errors import FormatError, InputError, MessiError, ParameterError, SizeError
+from .errors import FormatError, InputError, MessiError, ParameterError
 from .evalgen import (
     SweepSpec,
     SynthSpec,
@@ -56,9 +54,7 @@ from .linalg import (
     SvdResult,
     as_matrix,
     best_fit_subspace,
-    dist_sq,
     distances_sq,
-    project,
     truncated_svd,
 )
 
@@ -84,7 +80,6 @@ __all__ = [
     "MessiFactorization",
     "ParameterError",
     "ReportRow",
-    "SizeError",
     "SparseAssembly",
     "Subspace",
     "SvdResult",
@@ -93,13 +88,10 @@ __all__ = [
     "allocate_dims",
     "as_matrix",
     "assemble_sparse",
-    "assign_step",
     "best_fit_subspace",
-    "brute_force",
     "build_factorization",
     "check_bundle_target",
     "clustering_cost",
-    "dist_sq",
     "distances_sq",
     "em_multi_restart",
     "em_run",
@@ -112,7 +104,6 @@ __all__ = [
     "lookup",
     "param_count",
     "parse_report",
-    "project",
     "rate_to_budget",
     "reconstruct",
     "refit_step",

@@ -26,8 +26,8 @@ from .evalgen import (
 from .factorization import build_factorization, equal_budget_j, reconstruct
 
 
-def _parse_list(value: str, name: str, kind: type) -> list:
-    """Parse a comma-separated list of int or float; bad input is a usage error."""
+def _parse_list(value: str, name: str, kind: type, valid, bounds: str) -> list:
+    """Comma-separated ints or floats, each passing valid; anything else is a usage error."""
     try:
         items = [kind(x) for x in value.split(",") if x.strip() != ""]
     except ValueError:
@@ -35,6 +35,8 @@ def _parse_list(value: str, name: str, kind: type) -> list:
         raise click.UsageError(f"{name} must be a comma-separated list of {noun}")
     if not items:
         raise click.UsageError(f"{name} must not be empty")
+    if not all(valid(x) for x in items):
+        raise click.UsageError(f"{name} entries must {bounds}")
     return items
 
 
@@ -180,29 +182,33 @@ def evaluate(obj, input_path, bundle_dir, report_path):
 @main.command()
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Matrix to sweep (.npy).")
-@click.option("--k-list", required=True, help="Comma-separated cluster counts, e.g. 1,2,4,8.")
-@click.option("--rate-list", default=None, help="Comma-separated target compression rates.")
-@click.option("--budget-list", default=None, help="Comma-separated absolute budgets.")
+@click.option("--k-list", "k_text", required=True,
+              help="Comma-separated cluster counts, e.g. 2,4,8; k=1, the single-SVD "
+                   "baseline, is always added.")
+@click.option("--rate-list", "rate_text", default=None,
+              help="Comma-separated target compression rates, each in (0, 1).")
+@click.option("--budget-list", "budget_text", default=None,
+              help="Comma-separated absolute budgets, each >= 1.")
 @click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--output", required=True, type=click.Path(dir_okay=False), help="CSV to write.")
 @click.pass_obj
 @_runtime_errors
-def sweep(obj, input_path, k_list, rate_list, budget_list, restarts, output):
+def sweep(obj, input_path, k_text, rate_text, budget_text, restarts, output):
     """Run the error-versus-budget grid and write the report CSV."""
-    if (rate_list is None) == (budget_list is None):
+    if (rate_text is None) == (budget_text is None):
         raise click.UsageError("exactly one of --rate-list / --budget-list must be given")
-    ks = _parse_list(k_list, "--k-list", int)
+    ks = _parse_list(k_text, "--k-list", int, lambda k: k >= 1, "be >= 1")
+    if budget_text is not None:
+        budgets = _parse_list(budget_text, "--budget-list", int, lambda b: b >= 1, "be >= 1")
+    else:
+        rates = _parse_list(rate_text, "--rate-list", float, lambda r: 0.0 < r < 1.0,
+                            "lie in (0, 1)")
     a = bundle_io.load_matrix(input_path)
     n, d = a.shape
-    if budget_list is not None:
-        budgets = _parse_list(budget_list, "--budget-list", int)
-    else:
-        rates = _parse_list(rate_list, "--rate-list", float)
-        if any(not 0.0 < r < 1.0 for r in rates):
-            raise click.UsageError("--rate-list entries must lie in (0, 1)")
+    if budget_text is None:
         budgets = [rate_to_budget(r, n, d) for r in rates]
     opts = EmOptions(restarts=restarts, seed=obj["seed"])
-    spec = SweepSpec(k_list=tuple(ks), budget_list=tuple(budgets), options=opts)
+    spec = SweepSpec(k_list=(1, *ks), budget_list=tuple(budgets), options=opts)
     rows = run_sweep(a, spec, threads=obj["threads"], progress=_progress(obj))
     bundle_io.write_report(rows, output)
     if _progress(obj):

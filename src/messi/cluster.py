@@ -6,9 +6,8 @@ global optimum is hard even in tiny dimensions, so `em_run` alternates a
 nearest-subspace assignment step with a per-cluster refit from the top
 eigenvectors of the cluster's d x d Gram matrix X_c^T X_c, which never
 increases the cost, and `em_multi_restart` keeps the best of several seeded
-local minima.
-`brute_force` enumerates all row partitions and serves as a ground-truth
-oracle on small instances.
+local minima. `refit_step` and `clustering_cost` expose one M-step and the
+objective on their own.
 
 Randomness: every restart draws from its own PCG64 stream seeded with
 SeedSequence([seed, restart_index]), so results are independent of execution
@@ -22,7 +21,7 @@ way whichever thread runs it, and chunk costs are added in chunk order, so
 the output bits are identical for every `threads` value and, when numpy's
 OpenBLAS is found, for every BLAS thread count. `allocate_dims` computes its
 spectra under the same pin, so `compress --dims-auto` runs pinned throughout;
-`refit_step` and `assign_step` run outside it, at the BLAS's own thread count.
+`refit_step` runs outside it, at the BLAS's own thread count.
 
 Reuse: a fit is a deterministic function of its rows, so `em_run` keeps the
 fit of each non-empty cluster whose rows are those of its last fit and the
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeError
+from .errors import ParameterError
 from .linalg import (
     Subspace,
     _distances_sq,
@@ -53,9 +52,6 @@ INIT_METHODS = ("random-partition", "sampled-rows")
 
 # Floor for the denominator of the relative-improvement convergence test.
 _COST_EPS = 1e-30
-
-# Guard on the assignment-enumeration size of brute_force.
-_BRUTE_FORCE_LIMIT = 10**7
 
 # Rows per work unit of the assignment pass; fixed, so no result depends on threads.
 _CHUNK_ROWS = 2048
@@ -216,13 +212,6 @@ def clustering_cost(points, assignment, subspaces) -> float:
     return total
 
 
-def assign_step(points, subspaces) -> np.ndarray:
-    """Map each row to its nearest subspace; ties go to the lowest index."""
-    points = as_matrix(points)
-    subspaces = _check_subspaces(subspaces, points.shape[1])
-    return _assign_and_cost(points, _row_norms_sq(points), subspaces)[0]
-
-
 def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
            run=_serial_map, kept=None) -> list[Subspace]:
     """Per-cluster best-fit refit with farthest-point healing of empty clusters.
@@ -373,82 +362,6 @@ def em_multi_restart(points, k: int, j: int | Sequence[int], opts: EmOptions,
         results = run(lambda i: em_run(points, k, j, opts, i), indices)
     best = min(indices, key=lambda i: (results[i].cost, i))
     return results[best]
-
-
-def _iter_partitions(n: int, k: int):
-    """Restricted growth strings of length n with at most k labels.
-
-    Yields each partition of rows into at most k clusters exactly once, with
-    labels canonicalized by order of first appearance.
-    """
-    a = [0] * n
-    maxes = [0] * n  # maxes[i] = max(a[:i+1])
-    yield a
-    while True:
-        i = n - 1
-        while i > 0 and a[i] >= min(maxes[i - 1] + 1, k - 1):
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        maxes[i] = max(maxes[i - 1], a[i])
-        for z in range(i + 1, n):
-            a[z] = 0
-            maxes[z] = maxes[i]
-        yield a
-
-
-def brute_force(points, k: int, j: int) -> Clustering:
-    """Globally optimal (k, j) clustering by exhaustive partition enumeration.
-
-    Enumerates every assignment of n rows to k clusters up to relabeling and
-    scores each cluster by the tail eigenvalue sum of its Gram matrix (the
-    exact fit cost), memoized per row subset. Only feasible for k**n up
-    to 10**7; larger instances raise SizeError.
-    """
-    points = as_matrix(points)
-    n, d = points.shape
-    dims = _check_dims(k, j, d)
-    if k**n > _BRUTE_FORCE_LIMIT:
-        raise SizeError(f"brute force infeasible: k^n = {k}^{n} exceeds {_BRUTE_FORCE_LIMIT}")
-
-    cache: dict[bytes, float] = {}
-
-    def block_cost(rows: np.ndarray) -> float:
-        key = rows.tobytes()
-        got = cache.get(key)
-        if got is not None:
-            return got
-        block = points[rows]
-        tail = float(np.sum(_gram_eigh(block.T @ block)[0][j:]))
-        cache[key] = tail
-        return tail
-
-    best_cost = np.inf
-    best_assignment: np.ndarray | None = None
-    for labels in _iter_partitions(n, k):
-        a = np.asarray(labels, dtype=np.int64)
-        cost = 0.0
-        for c in range(int(a.max()) + 1):
-            cost += block_cost(np.flatnonzero(a == c))
-            if cost >= best_cost:
-                break
-        if cost < best_cost:
-            best_cost = cost
-            best_assignment = a.copy()
-
-    assert best_assignment is not None
-    subspaces = _refit(points, best_assignment, dims)
-    cost = clustering_cost(points, best_assignment, subspaces)
-    return Clustering(
-        k=k,
-        assignment=best_assignment,
-        subspaces=tuple(subspaces),
-        cost=cost,
-        iterations=0,
-        converged=True,
-        cost_history=(cost,),
-    )
 
 
 def allocate_dims(points, assignment, total_dims: int, k: int | None = None) -> list[int]:

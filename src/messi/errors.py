@@ -15,7 +15,3 @@ class InputError(MessiError, ValueError):
 
 class FormatError(MessiError, ValueError):
     """An on-disk artifact does not conform to its declared format."""
-
-
-class SizeError(MessiError, ValueError):
-    """A requested computation exceeds the supported instance size."""

@@ -6,6 +6,10 @@ a budget differently (n j + k j d versus j (n + d)). A sweep therefore maps
 each (k, budget) cell to the largest feasible uniform dimension and records
 the reconstruction error there; relative Frobenius error is the documented
 stand-in for downstream task accuracy, which this package does not measure.
+A sweep evaluates exactly the cells it is given: the single-SVD baseline is
+the k = 1 cell, present when k_list holds 1 (`messi sweep` always adds it).
+Budgets are absolute parameter counts; `rate_to_budget` turns a target
+compression rate into one.
 """
 
 from __future__ import annotations
@@ -107,39 +111,23 @@ def rate_to_budget(rate: float, n: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of (k, budget) cells to evaluate; exactly one budget/rate list is set."""
+    """Grid of (k, budget) cells to evaluate: every k in k_list at every budget."""
 
     k_list: tuple[int, ...]
-    budget_list: tuple[int, ...] | None = None
-    rate_list: tuple[float, ...] | None = None
+    budget_list: tuple[int, ...] = ()
     options: EmOptions = field(default_factory=EmOptions)
-    include_baseline: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
+        object.__setattr__(self, "budget_list", tuple(int(b) for b in self.budget_list))
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ParameterError("k_list must be a nonempty list of positive integers")
-        if (self.budget_list is None) == (self.rate_list is None):
-            raise ParameterError("exactly one of budget_list / rate_list must be given")
-        if self.budget_list is not None:
-            object.__setattr__(self, "budget_list", tuple(int(b) for b in self.budget_list))
-            if not self.budget_list:
-                raise ParameterError("budget_list must be nonempty")
-        else:
-            object.__setattr__(self, "rate_list", tuple(float(r) for r in self.rate_list))
-            if not self.rate_list:
-                raise ParameterError("rate_list must be nonempty")
-            if any(not 0.0 < r < 1.0 for r in self.rate_list):
-                raise ParameterError("rates must lie in (0, 1)")
-
-    def budgets(self, n: int, d: int) -> tuple[int, ...]:
-        if self.budget_list is not None:
-            return self.budget_list
-        return tuple(rate_to_budget(r, n, d) for r in self.rate_list)
+        if not self.budget_list:
+            raise ParameterError("budget_list must be nonempty")
 
 
 def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepReport:
-    """Evaluate every (k, budget) cell and return rows ordered by (k, budget).
+    """Evaluate every (k, budget) cell of spec and return rows ordered by (k, budget).
 
     For each cell the uniform dimension is the largest fitting the budget;
     the clustering is the best of spec.options.restarts EM runs; the reported
@@ -150,10 +138,7 @@ def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepRepor
     a = as_matrix(a)
     n, d = a.shape
     opts = spec.options
-    budgets = sorted(set(spec.budgets(n, d)))
-    k_values = set(spec.k_list)
-    if spec.include_baseline:
-        k_values.add(1)
+    budgets = sorted(set(spec.budget_list))
 
     def cell(k: int, budget: int) -> ReportRow:
         try:
@@ -183,4 +168,4 @@ def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepRepor
             seed=opts.seed,
         )
 
-    return [cell(k, budget) for k in sorted(k_values) for budget in budgets]
+    return [cell(k, budget) for k in sorted(set(spec.k_list)) for budget in budgets]

@@ -165,15 +165,6 @@ class SparseAssembly:
         """Structural nonzero count of each U row."""
         return self.dims[self.assignment]
 
-    def u_dense(self) -> np.ndarray:
-        """Materialize U_sparse as a dense n x total_dims array."""
-        widths = self.row_widths()
-        rows = np.repeat(np.arange(self.n), widths)
-        within = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths, widths)
-        u = np.zeros((self.n, self.total_dims))
-        u[rows, self.col_offsets[rows] + within] = self.values[self.row_starts[rows] + within]
-        return u
-
     def product(self) -> np.ndarray:
         """U_sparse @ V_stacked from the sparse rows only: one GEMM per cluster,
         over the cluster's runs as one contiguous slice of values."""

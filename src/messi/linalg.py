@@ -1,9 +1,10 @@
-"""Dense linear-algebra substrate: truncated SVD, best-fit subspaces, projections.
+"""Dense linear-algebra substrate: truncated SVD, best-fit subspaces, row distances.
 
 Rows of a matrix are treated as points in d-space. All subspaces are linear
 (through the origin, no mean-centering), matching the two-layer factorization
 this package builds: A ~ U V has no bias term. Everything is computed in
-float64 regardless of input precision.
+float64 regardless of input precision. Distances are computed a matrix of
+rows at a time (`distances_sq`), the form EM's assignment pass uses.
 
 All functions here are pure and safe to call concurrently.
 
@@ -106,13 +107,6 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
-def _as_point(point, ambient: int) -> np.ndarray:
-    x = np.asarray(point, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != ambient:
-        raise ParameterError(f"expected a vector of length {ambient}, got shape {x.shape}")
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A j-dimensional linear subspace of R^d, stored as j orthonormal basis rows.
@@ -149,10 +143,6 @@ class Subspace:
     def ambient(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """The d x d orthogonal projector onto this subspace."""
-        return self.basis.T @ self.basis
-
 
 @dataclass(frozen=True, eq=False)
 class SvdResult:
@@ -161,10 +151,6 @@ class SvdResult:
     left: np.ndarray
     singular: np.ndarray
     right: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.singular.shape[0]
 
     def reconstruction(self) -> np.ndarray:
         """left @ diag(singular) @ right, the best rank-r approximation."""
@@ -212,22 +198,6 @@ def _gram_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A d x d Gram matrix's eigenvalues, descending and clamped at 0, and eigenvector columns."""
     vals, vecs = np.linalg.eigh(gram)  # ascending
     return np.maximum(vals[::-1], 0.0), vecs[:, ::-1]
-
-
-def project(point, s: Subspace) -> np.ndarray:
-    """Orthogonal projection of a point onto the subspace: basis.T @ (basis @ x)."""
-    x = _as_point(point, s.ambient)
-    return s.basis.T @ (s.basis @ x)
-
-
-def dist_sq(point, s: Subspace) -> float:
-    """Squared Euclidean distance from a point to its projection on the subspace.
-
-    Computed as ||x||^2 - ||basis @ x||^2, clamped at 0 against rounding.
-    """
-    x = _as_point(point, s.ambient)
-    coeffs = s.basis @ x
-    return max(0.0, float(x @ x - coeffs @ coeffs))
 
 
 def _row_norms_sq(points: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import messi
-from oracles import gram_eig_tail
+from oracles import brute_force, gram_eig_tail
 from test_acceptance import (
     CRIT6_RATES,
     FROZEN_MARGIN_5,
@@ -42,7 +42,7 @@ def main():
     for i in range(20):
         g = np.random.default_rng(100 + i)
         pts = g.standard_normal((10, 3))
-        bf = messi.brute_force(pts, 2, 1)
+        bf = brute_force(pts, 2, 1)
         opts = messi.EmOptions(restarts=64, seed=100 + i)
         em = messi.em_multi_restart(pts, 2, 1, opts)
         rel = (em.cost - bf.cost) / max(bf.cost, 1e-30)

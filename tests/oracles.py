@@ -1,10 +1,13 @@
 """Independent oracles used to freeze and check expected values.
 
-None of these reuse the library's code paths (which fit subspaces from
-`eigh` of each cluster's Gram matrix): fit costs come from `eigvalsh`
-eigenvalue tails, distances from explicit projection residuals, and optima
-from exhaustive enumeration. The one exception is `reference_em_run`, which
-drives the library's own refit and assignment steps without any reuse, to
+Most of these reuse none of the library's code paths (which fit subspaces
+from `eigh` of each cluster's Gram matrix): fit costs come from `eigvalsh`
+eigenvalue tails, distances from explicit projection residuals, and
+`dense_u` scatters the sparse layer's runs into a dense matrix. Three drive
+the library's own steps: `brute_force` enumerates every row partition and
+scores it by Gram eigenvalue tails, then refits the winner with the
+library's M-step; `assign_step` is one nearest-subspace pass of EM's
+assignment kernel; `reference_em_run` runs EM's loop without any reuse, to
 check that reuse changes no bit.
 """
 
@@ -18,10 +21,20 @@ from messi.cluster import (
     _assign_and_cost,
     _check_assignment,
     _check_dims,
+    _check_subspaces,
     _refit,
     _units,
+    clustering_cost,
 )
-from messi.linalg import _one_blas_thread, _row_norms_sq, as_matrix, best_fit_subspace
+from messi.errors import MessiError
+from messi.linalg import _gram_eigh, _one_blas_thread, _row_norms_sq, as_matrix, best_fit_subspace
+
+# Guard on the assignment-enumeration size of brute_force.
+_BRUTE_FORCE_LIMIT = 10**7
+
+
+class SizeError(MessiError, ValueError):
+    """A requested computation exceeds the supported instance size."""
 
 
 def gram_eig_tail(points, j: int) -> float:
@@ -135,3 +148,96 @@ def reference_em_run(points, k, j, opts, restart_index=0, initial_assignment=Non
                             iterations=iterations, converged=converged,
                             cost_history=tuple(history))
     return clustering, healed
+
+
+def assign_step(points, subspaces) -> np.ndarray:
+    """Map each row to its nearest subspace; ties go to the lowest index."""
+    points = as_matrix(points)
+    subspaces = _check_subspaces(subspaces, points.shape[1])
+    return _assign_and_cost(points, _row_norms_sq(points), subspaces)[0]
+
+
+def _iter_partitions(n: int, k: int):
+    """Restricted growth strings of length n with at most k labels.
+
+    Yields each partition of rows into at most k clusters exactly once, with
+    labels canonicalized by order of first appearance.
+    """
+    a = [0] * n
+    maxes = [0] * n  # maxes[i] = max(a[:i+1])
+    yield a
+    while True:
+        i = n - 1
+        while i > 0 and a[i] >= min(maxes[i - 1] + 1, k - 1):
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        maxes[i] = max(maxes[i - 1], a[i])
+        for z in range(i + 1, n):
+            a[z] = 0
+            maxes[z] = maxes[i]
+        yield a
+
+
+def brute_force(points, k: int, j: int) -> Clustering:
+    """Globally optimal (k, j) clustering by exhaustive partition enumeration.
+
+    Enumerates every assignment of n rows to k clusters up to relabeling and
+    scores each cluster by the tail eigenvalue sum of its Gram matrix (the
+    exact fit cost), memoized per row subset. Only feasible for k**n up
+    to 10**7; larger instances raise SizeError.
+    """
+    points = as_matrix(points)
+    n, d = points.shape
+    dims = _check_dims(k, j, d)
+    if k**n > _BRUTE_FORCE_LIMIT:
+        raise SizeError(f"brute force infeasible: k^n = {k}^{n} exceeds {_BRUTE_FORCE_LIMIT}")
+
+    cache: dict[bytes, float] = {}
+
+    def block_cost(rows: np.ndarray) -> float:
+        key = rows.tobytes()
+        got = cache.get(key)
+        if got is not None:
+            return got
+        block = points[rows]
+        tail = float(np.sum(_gram_eigh(block.T @ block)[0][j:]))
+        cache[key] = tail
+        return tail
+
+    best_cost = np.inf
+    best_assignment: np.ndarray | None = None
+    for labels in _iter_partitions(n, k):
+        a = np.asarray(labels, dtype=np.int64)
+        cost = 0.0
+        for c in range(int(a.max()) + 1):
+            cost += block_cost(np.flatnonzero(a == c))
+            if cost >= best_cost:
+                break
+        if cost < best_cost:
+            best_cost = cost
+            best_assignment = a.copy()
+
+    assert best_assignment is not None
+    subspaces = _refit(points, best_assignment, dims)
+    cost = clustering_cost(points, best_assignment, subspaces)
+    return Clustering(
+        k=k,
+        assignment=best_assignment,
+        subspaces=tuple(subspaces),
+        cost=cost,
+        iterations=0,
+        converged=True,
+        cost_history=(cost,),
+    )
+
+
+def dense_u(sa) -> np.ndarray:
+    """Materialize a SparseAssembly's U_sparse as a dense n x total_dims array."""
+    widths = sa.row_widths()
+    rows = np.repeat(np.arange(sa.n), widths)
+    within = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths, widths)
+    u = np.zeros((sa.n, sa.total_dims))
+    u[rows, sa.col_offsets[rows] + within] = sa.values[sa.row_starts[rows] + within]
+    return u

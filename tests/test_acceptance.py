@@ -21,7 +21,6 @@ from messi import (
     SweepSpec,
     SynthSpec,
     assemble_sparse,
-    brute_force,
     build_factorization,
     em_multi_restart,
     em_run,
@@ -39,7 +38,7 @@ from messi import (
     truncated_svd,
 )
 from messi.linalg import _blas_threads, _set_blas_threads
-from oracles import gram_eig_tail
+from oracles import brute_force, gram_eig_tail
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -282,8 +281,7 @@ def run_criterion_6(threads: int):
     a = _crit6_matrix()
     n, d = a.shape
     budgets = tuple(rate_to_budget(r, n, d) for r in CRIT6_RATES)
-    spec = SweepSpec(k_list=(4,), budget_list=budgets, options=_crit6_options(),
-                     include_baseline=True)
+    spec = SweepSpec(k_list=(1, 4), budget_list=budgets, options=_crit6_options())
     rows = run_sweep(a, spec, threads=threads)
     return render_report(rows), (a, budgets, rows)
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import messi
 from messi.cli import main
 from messi.linalg import _blas_threads, _set_blas_threads
-from oracles import gram_eig_tail
+from oracles import brute_force, gram_eig_tail
 
 
 @pytest.fixture()
@@ -235,9 +235,17 @@ class TestCompress:
     ["compress", "--k", "2", "--j", "3", "--tol", "-1e-6"],
     ["compress", "--k", "2", "--j", "3", "--tol", "nan"],
     ["sweep", "--k-list", "1", "--budget-list", "120", "--restarts", "0"],
+    ["sweep", "--k-list", "0,2", "--budget-list", "120"],
+    ["sweep", "--k-list", "2", "--budget-list", "0"],
+    ["sweep", "--k-list", "2", "--budget-list", "-5"],
+    ["sweep", "--k-list", "2", "--rate-list", "1.5"],
 ], ids=" ".join)
-def test_out_of_range_option_exit_2(runner, tmp_path, args):
+def test_out_of_range_option_exit_2(runner, tmp_path, monkeypatch, args):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the matrix was loaded before the options were checked")
+
     write_planted(tmp_path / "a.npy")
+    monkeypatch.setattr("messi.io.load_matrix", must_not_run)
     result = invoke(runner, [
         args[0], "--input", str(tmp_path / "a.npy"), *args[1:], "--output", str(tmp_path / "x"),
     ])
@@ -315,6 +323,18 @@ class TestSweep:
         # budget = ceil(0.6 * 200) = 120
         assert all(r.params <= 120 for r in rows)
 
+    def test_baseline_included_and_rows_ordered(self, runner, tmp_path):
+        messi.save_matrix(np.random.default_rng(41).standard_normal((20, 10)), tmp_path / "a.npy")
+        result = invoke(runner, [
+            "--quiet", "--seed", "4", "sweep", "--input", str(tmp_path / "a.npy"),
+            "--k-list", "2", "--budget-list", "120,90",
+            "--restarts", "2", "--output", str(tmp_path / "s.csv"),
+        ])
+        assert result.exit_code == 0
+        rows = messi.parse_report((tmp_path / "s.csv").read_text())
+        assert [r.k for r in rows] == [1, 1, 2, 2]
+        assert rows[0].params <= rows[1].params  # budgets ascending within k
+
     def test_usage_errors(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")
         for args in (
@@ -363,7 +383,7 @@ class TestSynth:
             "--noise", "0", "--seed", "4", "--output", str(tmp_path / "a.npy"),
         ])
         a = messi.load_matrix(tmp_path / "a.npy")
-        result = messi.brute_force(a, 3, 1)
+        result = brute_force(a, 3, 1)
         assert result.cost <= 1e-12 * float(np.sum(a * a))
 
     def test_fixed_seed_stable_bytes(self, runner, tmp_path):

@@ -10,13 +10,10 @@ import messi.cluster
 from messi import (
     EmOptions,
     ParameterError,
-    SizeError,
     Subspace,
     SynthSpec,
     allocate_dims,
-    assign_step,
     best_fit_subspace,
-    brute_force,
     clustering_cost,
     em_multi_restart,
     em_run,
@@ -25,10 +22,14 @@ from messi import (
     rate_to_budget,
     refit_step,
 )
-from messi.cluster import INIT_METHODS, _CHUNK_ROWS, _assign_and_cost, _iter_partitions, _refit
+from messi.cluster import INIT_METHODS, _CHUNK_ROWS, _assign_and_cost, _refit
 from messi.linalg import _blas_threads, _row_norms_sq, _set_blas_threads
 from oracles import (
+    SizeError,
+    _iter_partitions,
+    assign_step,
     best_dim_composition_cost,
+    brute_force,
     canonical_partition,
     gram_eig_tail,
     pointwise_cost,

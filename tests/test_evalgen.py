@@ -10,7 +10,6 @@ from messi import (
     ParameterError,
     SweepSpec,
     SynthSpec,
-    brute_force,
     distances_sq,
     frobenius_error,
     generate_planted,
@@ -19,7 +18,7 @@ from messi import (
     truncated_svd,
 )
 from messi.linalg import Subspace, best_fit_subspace
-from oracles import gram_eig_tail, naive_frobenius
+from oracles import brute_force, gram_eig_tail, naive_frobenius
 
 # Frozen at calibration time from the documented PCG64 draw order.
 PLANTED_120_3_SHA256 = "d04cf67f8e916ff225ecde4f0fe07f3d65089660c100b1dbaac91cd69b44d50a"
@@ -138,8 +137,7 @@ class TestRunSweep:
                     r for r in run_sweep(
                         matrix,
                         SweepSpec(k_list=(k,), budget_list=(budget,),
-                                  options=EmOptions(restarts=2, seed=2),
-                                  include_baseline=False),
+                                  options=EmOptions(restarts=2, seed=2)),
                     )
                 ][0]
                 if cell.params is not None:
@@ -149,23 +147,17 @@ class TestRunSweep:
         # k=8 needs n + 8d = 100 per dimension; budget 90 is infeasible.
         spec = SweepSpec(
             k_list=(8,), budget_list=(90,),
-            options=EmOptions(restarts=2, seed=3), include_baseline=False,
+            options=EmOptions(restarts=2, seed=3),
         )
         rows = run_sweep(matrix, spec)
         assert len(rows) == 1
         assert rows[0].dims is None and rows[0].params is None
         assert rows[0].frobenius_error is None
 
-    def test_baseline_included_and_rows_ordered(self, matrix):
-        spec = SweepSpec(k_list=(2,), budget_list=(120, 90), options=EmOptions(restarts=2, seed=4))
-        rows = run_sweep(matrix, spec)
-        assert [r.k for r in rows] == [1, 1, 2, 2]
-        assert rows[0].params <= rows[1].params  # budgets ascending within k
-
     def test_rate_list_translation(self, matrix):
-        spec = SweepSpec(k_list=(1,), rate_list=(0.4,), options=EmOptions(restarts=2, seed=5),
-                         include_baseline=False)
-        assert spec.budgets(20, 10) == (120,)
+        budget = rate_to_budget(0.4, 20, 10)
+        assert budget == 120
+        spec = SweepSpec(k_list=(1,), budget_list=(budget,), options=EmOptions(restarts=2, seed=5))
         rows = run_sweep(matrix, spec)
         assert rows[0].params <= 120
 
@@ -181,10 +173,6 @@ class TestRunSweep:
             SweepSpec(k_list=(), budget_list=(10,))
         with pytest.raises(ParameterError):
             SweepSpec(k_list=(1,))
-        with pytest.raises(ParameterError):
-            SweepSpec(k_list=(1,), budget_list=(10,), rate_list=(0.5,))
-        with pytest.raises(ParameterError):
-            SweepSpec(k_list=(1,), rate_list=(1.5,))
 
 
 class TestResidualIdentity:
@@ -195,7 +183,7 @@ class TestResidualIdentity:
         from messi import build_factorization, em_multi_restart, reconstruct
 
         opts = EmOptions(restarts=4, seed=9)
-        spec = SweepSpec(k_list=(2,), budget_list=(100,), options=opts, include_baseline=False)
+        spec = SweepSpec(k_list=(2,), budget_list=(100,), options=opts)
         row = run_sweep(a, spec)[0]
         j = row.dims[0]
         clus = em_multi_restart(a, 2, j, opts)

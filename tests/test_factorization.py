@@ -17,12 +17,12 @@ from messi import (
     load_bundle,
     lookup,
     param_count,
-    project,
     reconstruct,
     save_bundle,
     svd_baseline_params,
     truncated_svd,
 )
+from oracles import dense_u
 
 
 # Relative Frobenius tolerance of a lookup batch against reconstruct(f)[ids].
@@ -82,7 +82,8 @@ class TestBuildFactorization:
         fact = build_factorization(pts, clus)
         recon = reconstruct(fact)
         for z in range(15):
-            expected = project(pts[z], clus.subspaces[clus.assignment[z]])
+            b = clus.subspaces[clus.assignment[z]].basis
+            expected = b.T @ (b @ pts[z])
             np.testing.assert_allclose(recon[z], expected, rtol=1e-12, atol=1e-12)
 
     def test_rejects_shape_mismatch(self):
@@ -178,7 +179,7 @@ class TestSparseAssembly:
         assert sa.shape == (8, 2)
         np.testing.assert_array_equal(sa.offsets, [0])
         np.testing.assert_array_equal(sa.row_widths(), np.full(8, 2))
-        np.testing.assert_allclose(sa.u_dense(), fact.blocks[0].u)
+        np.testing.assert_allclose(dense_u(sa), fact.blocks[0].u)
 
     def test_block_pattern_7x7(self):
         # Rows 3 and 5 (0-indexed) assigned to the first of two rank-3
@@ -196,7 +197,7 @@ class TestSparseAssembly:
         )
         fact = build_factorization(pts, clus)
         sa = assemble_sparse(fact)
-        u = sa.u_dense()
+        u = dense_u(sa)
         assert sa.shape == (7, 6)
         for z in (3, 5):
             assert sa.col_offsets[z] == 0
@@ -211,7 +212,7 @@ class TestSparseAssembly:
         fact = build_factorization(pts, make_clustering(pts, 3, 2, seed=1))
         sa = assemble_sparse(fact)
         recon = reconstruct(fact)
-        dense = sa.u_dense() @ sa.v_stacked
+        dense = dense_u(sa) @ sa.v_stacked
         assert np.max(np.abs(dense - recon)) <= 1e-9 * max(1.0, np.max(np.abs(recon)))
         assert np.max(np.abs(sa.product() - recon)) <= 1e-9 * max(1.0, np.max(np.abs(recon)))
 
@@ -247,7 +248,7 @@ class TestSparseAssembly:
         recon = reconstruct(fact)
         assert np.all(recon[fact.assignment == 1] == 0.0)
         scale = max(1.0, np.max(np.abs(recon)))
-        assert np.max(np.abs(sa.u_dense() @ sa.v_stacked - recon)) <= 1e-9 * scale
+        assert np.max(np.abs(dense_u(sa) @ sa.v_stacked - recon)) <= 1e-9 * scale
         assert np.max(np.abs(sa.product() - recon)) <= 1e-9 * scale
         # Row-by-row reference: the scatter is exact, the product only reorders sums.
         u_ref = np.zeros(sa.shape)
@@ -257,7 +258,7 @@ class TestSparseAssembly:
             cols = slice(sa.col_offsets[z], sa.col_offsets[z] + run.size)
             u_ref[z, cols] = run
             prod_ref[z] = run @ sa.v_stacked[cols]
-        np.testing.assert_array_equal(sa.u_dense(), u_ref)
+        np.testing.assert_array_equal(dense_u(sa), u_ref)
         np.testing.assert_allclose(sa.product(), prod_ref, rtol=1e-12, atol=1e-12)
 
 

@@ -9,9 +9,7 @@ from messi import (
     Subspace,
     as_matrix,
     best_fit_subspace,
-    dist_sq,
     distances_sq,
-    project,
     truncated_svd,
 )
 from oracles import gram_eig_tail, same_subspace
@@ -99,13 +97,13 @@ class TestBestFitSubspace:
         pts = np.array([[1.0, 0, 0], [2.0, 0, 0], [-3.0, 0, 0]])
         s = best_fit_subspace(pts, 1)
         assert same_subspace(s, Subspace(np.array([[1.0, 0, 0]])))
-        assert sum(dist_sq(p, s) for p in pts) <= 1e-20
+        assert float(np.sum(distances_sq(pts, s))) <= 1e-20
 
     def test_diagonal_spectrum(self):
         pts = np.diag([3.0, 2.0, 1.0])
         s = best_fit_subspace(pts, 2)
         assert same_subspace(s, Subspace(np.eye(3)[:2]))
-        cost = sum(dist_sq(p, s) for p in pts)
+        cost = float(np.sum(distances_sq(pts, s)))
         assert cost == pytest.approx(1.0, rel=1e-12)
 
     def test_cost_matches_gram_tail(self):
@@ -164,64 +162,14 @@ class TestBestFitSubspace:
         pts = np.ones((4, 3))
         s = best_fit_subspace(pts, 0)
         assert s.dim == 0
-        assert dist_sq(pts[0], s) == pytest.approx(3.0)
+        assert distances_sq(pts[:1], s)[0] == pytest.approx(3.0)
 
 
-class TestProjectAndDist:
-    def test_axis_cases(self):
-        s = Subspace(np.array([[0.0, 1.0, 0.0]]))
-        assert dist_sq(np.array([1.0, 0, 0]), s) == pytest.approx(1.0)
-        sx = Subspace(np.array([[1.0, 0.0]]))
-        np.testing.assert_allclose(project(np.array([1.0, 1.0]), sx), [1.0, 0.0], atol=1e-14)
-
-    def test_contained_point(self):
-        rng = np.random.default_rng(5)
-        s = best_fit_subspace(rng.standard_normal((6, 4)), 2)
-        x = s.basis.T @ np.array([0.3, -1.2])
-        assert dist_sq(x, s) <= 1e-12
-        np.testing.assert_allclose(project(x, s), x, rtol=1e-12, atol=1e-14)
-
-    def test_dist_matches_projection_residual(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            s = best_fit_subspace(rng.standard_normal((8, 5)), 3)
-            x = rng.standard_normal(5)
-            residual = x - project(x, s)
-            assert dist_sq(x, s) == pytest.approx(float(residual @ residual), abs=1e-10)
-
-    def test_pythagoras(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            s = best_fit_subspace(rng.standard_normal((10, 6)), 2)
-            x = rng.standard_normal(6)
-            p = project(x, s)
-            lhs = float(x @ x)
-            rhs = float(p @ p) + dist_sq(x, s)
-            assert rhs == pytest.approx(lhs, rel=1e-10)
-
-    def test_projection_idempotent(self):
-        rng = np.random.default_rng(8)
-        s = best_fit_subspace(rng.standard_normal((9, 7)), 3)
-        x = rng.standard_normal(7)
-        p1 = project(x, s)
-        p2 = project(p1, s)
-        np.testing.assert_allclose(p2, p1, rtol=1e-12, atol=1e-15)
-
+class TestDistancesSq:
     def test_dimension_mismatch(self):
         s = Subspace(np.array([[1.0, 0.0]]))
         with pytest.raises(ParameterError):
-            project(np.ones(3), s)
-        with pytest.raises(ParameterError):
-            dist_sq(np.ones(3), s)
-        with pytest.raises(ParameterError):
             distances_sq(np.ones((2, 3)), s)
-
-    def test_dist_clamped_nonnegative(self):
-        rng = np.random.default_rng(9)
-        s = best_fit_subspace(rng.standard_normal((5, 4)), 4)
-        # Points inside a full subspace: exact distance 0, rounding clamped.
-        for _ in range(10):
-            assert dist_sq(rng.standard_normal(4), s) >= 0.0
 
 
 class TestSubspaceType:
