@@ -127,7 +127,7 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, init,
         clustering = em_run(a, k, dims, opts, initial_assignment=clustering.assignment,
                             threads=obj["threads"])
         iterations += clustering.iterations
-    fact = build_factorization(a, clustering)
+    fact = build_factorization(a, clustering, threads=obj["threads"])
     bundle_io.save_bundle(
         fact, output, seed=obj["seed"], cost=clustering.cost,
         iterations=iterations, converged=clustering.converged,

@@ -16,12 +16,13 @@ order.
 Threads: `em_run` and `em_multi_restart` hold OpenBLAS at one thread and
 take their parallelism from one pool that runs fixed work units: the
 restarts, and inside a restart the assignment pass's row chunks of
-_CHUNK_ROWS rows and the k per-cluster fits. Every unit is computed the same
-way whichever thread runs it, and chunk costs are added in chunk order, so
-the output bits are identical for every `threads` value and, when numpy's
-OpenBLAS is found, for every BLAS thread count. `allocate_dims` computes its
-spectra under the same pin, so `compress --dims-auto` runs pinned throughout;
-`refit_step` runs outside it, at the BLAS's own thread count.
+CHUNK_ROWS rows and the k per-cluster fits, which read their rows in the
+same fixed chunks. Every unit is computed the same way whichever thread runs
+it, and chunk sums are added in chunk order, so the output bits are
+identical for every `threads` value and, when numpy's OpenBLAS is found, for
+every BLAS thread count. `allocate_dims` and `build_factorization` run
+pinned the same way, so a `compress` bundle is too; `refit_step` runs
+outside the pin, at the BLAS's own thread count.
 
 Reuse: a fit is a deterministic function of its rows, so `em_run` keeps the
 fit of each non-empty cluster whose rows are those of its last fit and the
@@ -39,8 +40,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import (
+    CHUNK_ROWS,
     Subspace,
     _distances_sq,
+    _gram,
     _gram_eigh,
     _one_blas_thread,
     _row_norms_sq,
@@ -52,9 +55,6 @@ INIT_METHODS = ("random-partition", "sampled-rows")
 
 # Floor for the denominator of the relative-improvement convergence test.
 _COST_EPS = 1e-30
-
-# Rows per work unit of the assignment pass; fixed, so no result depends on threads.
-_CHUNK_ROWS = 2048
 
 
 def _serial_map(fn, items) -> list:
@@ -155,6 +155,13 @@ def _check_assignment(assignment, n: int, k: int) -> np.ndarray:
     return a
 
 
+def _cluster_rows(assignment: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each cluster's row ids, ascending, from one stable argsort of ids in [0, k)."""
+    order = np.argsort(assignment, kind="stable")
+    order.flags.writeable = False
+    return np.split(order, np.cumsum(np.bincount(assignment, minlength=k))[:-1])
+
+
 def _check_subspaces(subspaces, d: int) -> tuple[Subspace, ...]:
     subspaces = tuple(subspaces)
     if not subspaces:
@@ -182,7 +189,7 @@ def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces, run=_s
                      dists: np.ndarray | None = None, prior=None) -> tuple[np.ndarray, float]:
     """Nearest-subspace assignment and its cost from one n x k distance pass.
 
-    The pass runs over fixed chunks of _CHUNK_ROWS rows; the chunk costs are
+    The pass runs over fixed chunks of CHUNK_ROWS rows; the chunk costs are
     added in chunk order. dists, when given, is an n x k buffer that already
     holds the columns of the subspaces in prior; only the others are computed.
     """
@@ -190,12 +197,12 @@ def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces, run=_s
     stale = [c for c, s in enumerate(subspaces) if prior is None or s is not prior[c]]
 
     def chunk(start: int):
-        rows = slice(start, start + _CHUNK_ROWS)
+        rows = slice(start, start + CHUNK_ROWS)
         for c in stale:
             dists[rows, c] = _distances_sq(points[rows], norms_sq[rows], subspaces[c])
         return np.argmin(dists[rows], axis=1), float(np.sum(np.min(dists[rows], axis=1)))
 
-    parts = run(chunk, range(0, points.shape[0], _CHUNK_ROWS))
+    parts = run(chunk, range(0, points.shape[0], CHUNK_ROWS))
     return np.concatenate([a for a, _ in parts]).astype(np.int64), sum(c for _, c in parts)
 
 
@@ -216,18 +223,18 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
            run=_serial_map, kept=None) -> list[Subspace]:
     """Per-cluster best-fit refit with farthest-point healing of empty clusters.
 
-    Each cluster's fit is one work unit; the healing runs serially after them.
-    kept[c], when not None, is a fit of exactly cluster c's rows and is
-    returned as it is.
+    Each cluster's fit is one work unit; the healing runs serially after them,
+    and both read rows in CHUNK_ROWS chunks. kept[c], when not None, is a fit
+    of exactly cluster c's rows and is returned as it is.
     """
     n, d = points.shape
     k = len(dims)
+    members = _cluster_rows(assignment, k)
 
     def fit(c: int) -> Subspace | None:
         if kept and kept[c] is not None:
             return kept[c]
-        rows = points[assignment == c]
-        return best_fit_subspace(rows, dims[c]) if rows.shape[0] else None
+        return best_fit_subspace(points, dims[c], members[c]) if members[c].size else None
 
     subspaces = run(fit, range(k))
     empty = [c for c in range(k) if subspaces[c] is None]
@@ -235,12 +242,11 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
         # Reseed each empty cluster from the rows farthest from their current
         # fit, excluding rows already consumed by a previous heal.
         dists = np.empty(n)
-        for c in range(k):
-            if subspaces[c] is None:
-                continue
-            mask = assignment == c
-            rows = points[mask]
-            dists[mask] = _distances_sq(rows, _row_norms_sq(rows), subspaces[c])
+        for c, ids in enumerate(members):
+            for s in range(0, ids.size, CHUNK_ROWS):
+                chunk = ids[s : s + CHUNK_ROWS]
+                rows = points[chunk]
+                dists[chunk] = _distances_sq(rows, _row_norms_sq(rows), subspaces[c])
         order = np.argsort(-dists, kind="stable")
         cursor = 0
         for c in empty:
@@ -250,7 +256,7 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
                 # Placeholder for a cluster with no rows: canonical axes, zero energy.
                 subspaces[c] = Subspace(np.eye(d)[:dims[c]])
             else:
-                subspaces[c] = best_fit_subspace(points[take], dims[c])
+                subspaces[c] = best_fit_subspace(points, dims[c], take)
     return subspaces  # type: ignore[return-value]
 
 
@@ -304,7 +310,7 @@ def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_inde
             fitted_from = rng.integers(0, k, size=n)
         if fitted_from is None:  # sampled-rows
             samples = [rng.choice(n, size=min(dim, n), replace=False) for dim in dims]
-            subspaces = run(lambda c: best_fit_subspace(points[samples[c]], dims[c]), range(k))
+            subspaces = run(lambda c: best_fit_subspace(points, dims[c], samples[c]), range(k))
         else:
             subspaces = _refit(points, fitted_from, dims, run)
 
@@ -385,10 +391,9 @@ def allocate_dims(points, assignment, total_dims: int, k: int | None = None) -> 
     # Per-cluster squared singular values, descending; an empty cluster's are 0.
     spectra = np.zeros((k, d))
     with _one_blas_thread:
-        for c in range(k):
-            block = points[a == c]
-            if block.shape[0]:
-                spectra[c] = _gram_eigh(block.T @ block)[0]
+        for c, ids in enumerate(_cluster_rows(a, k)):
+            if ids.size:
+                spectra[c] = _gram_eigh(_gram(points, ids))[0]
 
     dims = [1] * k
     for _ in range(total_dims - k):

@@ -154,7 +154,7 @@ def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepRepor
         if progress is not None:
             progress(f"clustering k={k} j={j} (budget {budget})")
         clustering = em_multi_restart(a, k, j, opts, threads=threads)
-        fact = build_factorization(a, clustering)
+        fact = build_factorization(a, clustering, threads=threads)
         absolute, relative = frobenius_error(a, reconstruct(fact))
         return ReportRow(
             k=k,

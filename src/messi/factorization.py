@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Clustering
+from .cluster import Clustering, _cluster_rows, _units
 from .errors import ParameterError
-from .linalg import ORTHONORMALITY_TOL, as_matrix
+from .linalg import CHUNK_ROWS, ORTHONORMALITY_TOL, _one_blas_thread, as_matrix
 
 __all__ = [
     "Block",
@@ -91,13 +91,6 @@ class MessiFactorization:
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.row_ids.size for b in self.blocks)
-
-
-def _cluster_rows(assignment: np.ndarray, k: int) -> list[np.ndarray]:
-    """Each cluster's row ids, ascending, from one stable argsort of ids in [0, k)."""
-    order = np.argsort(assignment, kind="stable")
-    order.flags.writeable = False
-    return np.split(order, np.cumsum(np.bincount(assignment, minlength=k))[:-1])
 
 
 def _block_views(values, v_stacked, sizes, dims) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -178,12 +171,14 @@ class SparseAssembly:
         return out
 
 
-def build_factorization(a, clustering: Clustering) -> MessiFactorization:
+def build_factorization(a, clustering: Clustering, threads: int = 1) -> MessiFactorization:
     """Group rows by cluster and factor each group over its fitted subspace.
 
     Row z of cluster c contributes coefficients basis_c @ row to u, written
     straight into u's slice of values, so u @ v is the orthogonal projection
-    of the cluster's rows.
+    of the cluster's rows. The products run as pinned (cluster, chunk of
+    CHUNK_ROWS rows) units, as EM's do, so no cluster is copied whole and the
+    bits depend on neither threads nor the BLAS thread count.
     """
     a = as_matrix(a)
     n, d = a.shape
@@ -197,9 +192,14 @@ def build_factorization(a, clustering: Clustering) -> MessiFactorization:
     subs, rows = clustering.subspaces, _cluster_rows(clustering.assignment, clustering.k)
     sizes, dims = [ids.size for ids in rows], [s.dim for s in subs]
     values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
-    for s, ids, (u, v) in zip(subs, rows, _block_views(values, v_stacked, sizes, dims)):
-        np.matmul(a[ids], s.basis.T, out=u)
-        v[...] = s.basis
+    views = _block_views(values, v_stacked, sizes, dims)
+    # One unit per (cluster, chunk): the chunk's row ids, its basis and its rows of u.
+    units = [(ids[s : s + CHUNK_ROWS], sub.basis, u[s : s + CHUNK_ROWS])
+             for ids, sub, (u, _) in zip(rows, subs, views) for s in range(0, ids.size, CHUNK_ROWS)]
+    with _one_blas_thread, _units(threads) as run:
+        run(lambda unit: np.matmul(a[unit[0]], unit[1].T, out=unit[2]), units)
+    for sub, (_, v) in zip(subs, views):
+        v[...] = sub.basis
     return MessiFactorization(n=n, d=d, k=clustering.k, dims=dims, assignment=clustering.assignment,
                               values=values, v_stacked=v_stacked)
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import FormatError, InputError, MessiError
 from .factorization import MessiFactorization, _block_views
+from .linalg import _all_finite
 
 _MAGIC = b"\x93NUMPY"
 _VERSION = b"\x01\x00"
@@ -120,7 +121,7 @@ def load_matrix(path) -> np.ndarray:
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"{path}: matrix shape {arr.shape} has an empty axis")
     m = arr.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(m)):
+    if not _all_finite(m):
         raise InputError(f"{path}: matrix contains non-finite entries")
     return m
 

@@ -4,7 +4,8 @@ Rows of a matrix are treated as points in d-space. All subspaces are linear
 (through the origin, no mean-centering), matching the two-layer factorization
 this package builds: A ~ U V has no bias term. Everything is computed in
 float64 regardless of input precision. Distances are computed a matrix of
-rows at a time (`distances_sq`), the form EM's assignment pass uses.
+rows at a time (`distances_sq`), the form EM's assignment pass uses. Fits and
+finiteness checks read CHUNK_ROWS rows at a time and copy no whole matrix.
 
 All functions here are pure and safe to call concurrently.
 
@@ -29,6 +30,9 @@ from .errors import InputError, ParameterError
 
 # Max-abs deviation of basis @ basis.T from the identity tolerated on construction.
 ORTHONORMALITY_TOL = 1e-10
+
+# Rows per fixed chunk of every pass over rows; fixed, so no result depends on threads.
+CHUNK_ROWS = 2048
 
 
 @functools.cache
@@ -97,14 +101,25 @@ def as_matrix(data) -> np.ndarray:
 
     Raises ParameterError on bad shape and InputError on NaN/Inf entries.
     """
+    m = _as_2d(data)
+    if not _all_finite(m):
+        raise InputError("matrix contains non-finite entries")
+    return m
+
+
+def _as_2d(data) -> np.ndarray:
+    """as_matrix without the finiteness check."""
     m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise ParameterError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ParameterError(f"matrix needs at least one row and one column, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InputError("matrix contains non-finite entries")
     return m
+
+
+def _all_finite(m: np.ndarray) -> bool:
+    """Whether every entry is finite, checked CHUNK_ROWS rows at a time (no n x d temporary)."""
+    return all(np.isfinite(m[s : s + CHUNK_ROWS]).all() for s in range(0, m.shape[0], CHUNK_ROWS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,27 +186,44 @@ def truncated_svd(m, r: int) -> SvdResult:
     return SvdResult(left=u[:, :r].copy(), singular=s[:r].copy(), right=vt[:r].copy())
 
 
-def best_fit_subspace(points, j: int) -> Subspace:
+def best_fit_subspace(points, j: int, rows=None) -> Subspace:
     """The j-dim linear subspace minimizing the sum of squared distances to the rows.
 
+    rows, when given, are the ids of the rows of points to fit (default all).
     This is the span of the top-j eigenvectors of the d x d Gram matrix
-    points.T @ points (no mean-centering), i.e. of the top-j right singular
-    vectors. When the rows have rank < j the basis is padded with eigenvectors
-    of the zero eigenvalue, a deterministic orthonormal complement that
-    carries no energy. For j == d the subspace is all of R^d and the basis is
-    the identity, so every distance is exactly 0.
+    X.T @ X of those rows X (no mean-centering), i.e. of the top-j right
+    singular vectors. When the rows have rank < j the basis is padded with
+    eigenvectors of the zero eigenvalue, a deterministic orthonormal complement
+    that carries no energy. For j == d the subspace is all of R^d and the basis
+    is the identity, so every distance is exactly 0.
     """
-    points = as_matrix(points)
-    d = points.shape[1]
+    points = _as_2d(points)
+    n, d = points.shape
+    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows is not None and (rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n))):
+        raise ParameterError(f"rows must be a 1-d list of row ids in [0, {n})")
     if j < 0:
         raise ParameterError(f"subspace dimension must be nonnegative, got {j}")
     if j > d:
         raise ParameterError(f"subspace dimension {j} exceeds ambient dimension {d}")
+    gram = _gram(points, rows)
     if j == 0:
         return Subspace(np.empty((0, d)))
     if j == d:
         return Subspace(np.eye(d))
-    return Subspace(_gram_eigh(points.T @ points)[1][:, :j].T)
+    return Subspace(_gram_eigh(gram)[1][:, :j].T)
+
+
+def _gram(points: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """X.T @ X of the rows X = points[rows] (default all), summed from zeros over chunks of
+    CHUNK_ROWS rows in chunk order, so no copy of X is made. InputError on a non-finite row."""
+    gram = np.zeros((points.shape[1],) * 2)
+    for s in range(0, points.shape[0] if rows is None else rows.size, CHUNK_ROWS):
+        block = points[s : s + CHUNK_ROWS] if rows is None else points[rows[s : s + CHUNK_ROWS]]
+        if not _all_finite(block):
+            raise InputError("matrix contains non-finite entries")
+        gram += block.T @ block
+    return gram
 
 
 def _gram_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,8 @@ from messi import (
     rate_to_budget,
     refit_step,
 )
-from messi.cluster import INIT_METHODS, _CHUNK_ROWS, _assign_and_cost, _refit
-from messi.linalg import _blas_threads, _row_norms_sq, _set_blas_threads
+from messi.cluster import INIT_METHODS, _assign_and_cost, _refit
+from messi.linalg import CHUNK_ROWS, _blas_threads, _row_norms_sq, _set_blas_threads
 from oracles import (
     SizeError,
     _iter_partitions,
@@ -347,7 +347,7 @@ class TestEmMultiRestart:
 class TestThreadBudget:
     def test_one_restart_identical_across_threads(self):
         rng = np.random.default_rng(29)
-        pts = rng.standard_normal((3 * _CHUNK_ROWS + 100, 12))
+        pts = rng.standard_normal((3 * CHUNK_ROWS + 100, 12))
         opts = EmOptions(restarts=1, max_iters=6, seed=3)
         results = [em_multi_restart(pts, 3, 2, opts, threads=t) for t in (1, 2, 4)]
         for other in results[1:]:
@@ -384,7 +384,7 @@ def reuse_cases():
              for i in range(4)]
     cases.append(("sampled-rows", (a, 4, CRIT6_J_AT_RATE_06,
                                    EmOptions(seed=17, init="sampled-rows"), 0), {}, False))
-    spec = SynthSpec(n=2 * _CHUNK_ROWS + 300, d=12, k_true=3, j_true=2, noise_sigma=0.3,
+    spec = SynthSpec(n=2 * CHUNK_ROWS + 300, d=12, k_true=3, j_true=2, noise_sigma=0.3,
                      spread=1.0, seed=5)
     planted, labels = generate_planted(spec)
     cases.append(("planted-init", (planted, 3, 2, EmOptions(seed=1)),
@@ -481,9 +481,9 @@ def blas_at_two_threads(monkeypatch):
     seen = []
     real_fit = messi.cluster.best_fit_subspace
 
-    def spy(points, j):
+    def spy(points, j, *args):
         seen.append(_blas_threads())
-        return real_fit(points, j)
+        return real_fit(points, j, *args)
 
     monkeypatch.setattr(messi.cluster, "best_fit_subspace", spy)
     _set_blas_threads(2)
@@ -502,7 +502,7 @@ class TestBlasPin:
         assert _blas_threads() == 2
 
     def test_restored_after_error_inside_em(self, blas_at_two_threads, monkeypatch):
-        def failing_fit(points, j):
+        def failing_fit(points, j, *args):
             blas_at_two_threads.append(_blas_threads())
             raise ParameterError("fit failed")
 

@@ -18,10 +18,12 @@ from messi import (
     lookup,
     param_count,
     reconstruct,
+    refit_step,
     save_bundle,
     svd_baseline_params,
     truncated_svd,
 )
+from messi.linalg import _blas_threads, _set_blas_threads
 from oracles import dense_u
 
 
@@ -109,6 +111,27 @@ class TestBuildFactorization:
         assert fact.blocks[1].u.shape == (0, 1)
         # The empty cluster still contributes its basis parameters.
         assert fact.param_count() == 5 * 1 + 2 * 1 * 3
+
+    def test_values_identical_across_threads_and_blas_threads(self):
+        # Large enough that OpenBLAS would split an unpinned product across its threads.
+        saved = _blas_threads()
+        if saved is None:
+            pytest.skip("no hook to numpy's OpenBLAS thread count was found, so it cannot be set")
+        a = np.random.default_rng(1).standard_normal((5000, 256))
+        assignment = np.zeros(5000, dtype=np.int64)
+        assignment[-50:] = 1
+        subs = tuple(refit_step(a, assignment, 2, 100))
+        clus = Clustering(k=2, assignment=assignment, subspaces=subs, cost=0.0, iterations=0,
+                          converged=True)
+        values = []
+        try:
+            for blas in (1, 2):
+                _set_blas_threads(blas)
+                for threads in (1, 2):
+                    values.append(build_factorization(a, clus, threads=threads).values.tobytes())
+        finally:
+            _set_blas_threads(saved)
+        assert all(v == values[0] for v in values[1:])
 
 
 class TestPartitionChecks:

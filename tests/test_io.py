@@ -26,6 +26,7 @@ from messi import (
     write_report,
 )
 from messi.cli import main
+from messi.linalg import CHUNK_ROWS
 
 
 def make_factorization(seed=0, n=12, d=5, k=2, j=2):
@@ -151,6 +152,11 @@ class TestNpyRejection:
         path = tmp_path / "nan.npy"
         np.save(path, np.array([[1.0, np.nan]]))
         with pytest.raises(InputError):
+            load_matrix(path)
+        late = np.ones((CHUNK_ROWS + 3, 2))
+        late[-1, 1] = np.nan  # past the first chunk of the finiteness check
+        np.save(path, late)
+        with pytest.raises(InputError, match="non-finite"):
             load_matrix(path)
 
     def test_header_with_extra_keys_rejected(self, tmp_path):

@@ -12,6 +12,7 @@ from messi import (
     distances_sq,
     truncated_svd,
 )
+from messi.linalg import CHUNK_ROWS
 from oracles import gram_eig_tail, same_subspace
 
 
@@ -31,6 +32,10 @@ def test_as_matrix_rejects_bad_inputs():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(InputError):
         as_matrix([[1.0, np.inf]])
+    late = np.ones((CHUNK_ROWS + 5, 2))
+    late[-1, 1] = -np.inf  # past the first chunk of the finiteness check
+    with pytest.raises(InputError, match="non-finite"):
+        as_matrix(late)
 
 
 class TestTruncatedSvd:
@@ -163,6 +168,41 @@ class TestBestFitSubspace:
         s = best_fit_subspace(pts, 0)
         assert s.dim == 0
         assert distances_sq(pts[:1], s)[0] == pytest.approx(3.0)
+
+    @staticmethod
+    def planted(n: int, seed: int) -> np.ndarray:
+        """n rows near a 5-dim subspace of R^16, so the fit has a wide eigengap."""
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.standard_normal((16, 5)))[0].T
+        return rng.standard_normal((n, 5)) @ basis + 0.01 * rng.standard_normal((n, 16))
+
+    def test_rows_in_one_chunk_match_the_gathered_fit(self):
+        pts = self.planted(3000, 40)
+        rows = np.sort(np.random.default_rng(41).choice(3000, size=CHUNK_ROWS, replace=False))
+        got = best_fit_subspace(pts, 5, rows)
+        assert got.basis.tobytes() == best_fit_subspace(pts[rows], 5).basis.tobytes()
+
+    def test_rows_over_several_chunks_span_the_gathered_fit(self):
+        pts = self.planted(3 * CHUNK_ROWS, 42)
+        rows = np.flatnonzero(np.random.default_rng(43).random(3 * CHUNK_ROWS) < 0.8)
+        assert rows.size > 2 * CHUNK_ROWS
+        got = best_fit_subspace(pts, 5, rows)
+        assert same_subspace(got, best_fit_subspace(pts[rows], 5), tol=1e-12)
+        assert same_subspace(best_fit_subspace(pts, 5), Subspace(truncated_svd(pts, 5).right), tol=1e-12)
+
+    def test_nonfinite_row_rejected_only_when_gathered(self):
+        pts = self.planted(CHUNK_ROWS + 10, 44)
+        pts[CHUNK_ROWS + 5, 3] = np.inf
+        with pytest.raises(InputError):
+            best_fit_subspace(pts, 2, [0, 1, CHUNK_ROWS + 5])
+        with pytest.raises(InputError):
+            best_fit_subspace(pts, 2)
+        assert best_fit_subspace(pts, 2, np.arange(CHUNK_ROWS)).dim == 2
+
+    @pytest.mark.parametrize("rows", [[0, 10], [-1, 2], [[0, 1]]])
+    def test_bad_row_ids_rejected(self, rows):
+        with pytest.raises(ParameterError, match="row ids"):
+            best_fit_subspace(np.ones((10, 3)), 1, rows)
 
 
 class TestDistancesSq:

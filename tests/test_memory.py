@@ -1,0 +1,54 @@
+"""Bounded-memory checks: fits and factor builds read a cluster's rows in fixed chunks.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a call
+counts every temporary array it makes. A cluster of n_c rows gathered whole
+would cost n_c * d * 8 bytes; the bound below allows two chunks of rows, a
+few d x d matrices and a few length-n index vectors.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from messi import Clustering, build_factorization, refit_step
+from messi.cluster import _refit
+from messi.linalg import CHUNK_ROWS
+
+N, D, J = 8 * CHUNK_ROWS + 100, 32, 8
+BOUND = 2 * CHUNK_ROWS * D * 8 + 4 * D * D * 8 + 4 * N * 8  # 1.61 MB
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def instance():
+    """N x D normal rows, every row but the last 100 in cluster 0."""
+    points = np.random.default_rng(7).standard_normal((N, D))
+    assignment = np.zeros(N, dtype=np.int64)
+    assignment[-100:] = 1
+    return points, assignment
+
+
+def test_refit_peak_is_bounded(instance):
+    points, assignment = instance
+    subspaces, peak = traced_peak(lambda: _refit(points, assignment, [J, J]))
+    assert len(subspaces) == 2
+    assert peak < BOUND
+
+
+def test_build_factorization_peak_is_bounded(instance):
+    points, assignment = instance
+    clustering = Clustering(k=2, assignment=assignment,
+                            subspaces=tuple(refit_step(points, assignment, 2, J)),
+                            cost=0.0, iterations=0, converged=True)
+    f, peak = traced_peak(lambda: build_factorization(points, clustering, threads=1))
+    assert peak - f.values.nbytes - f.v_stacked.nbytes < BOUND
