@@ -16,13 +16,13 @@ order.
 Threads: `em_run` and `em_multi_restart` hold OpenBLAS at one thread and
 take their parallelism from one pool that runs fixed work units: the
 restarts, and inside a restart the assignment pass's row chunks of
-CHUNK_ROWS rows and the k per-cluster fits, which read their rows in the
-same fixed chunks. Every unit is computed the same way whichever thread runs
-it, and chunk sums are added in chunk order, so the output bits are
-identical for every `threads` value and, when numpy's OpenBLAS is found, for
-every BLAS thread count. `allocate_dims` and `build_factorization` run
-pinned the same way, so a `compress` bundle is too; `refit_step` runs
-outside the pin, at the BLAS's own thread count.
+CHUNK_ROWS rows and the k per-cluster fits. No step copies a whole cluster:
+each pass over rows reads them in the same fixed chunks. Every unit is
+computed the same way whichever thread runs it, and chunk sums are added in
+chunk order, so the output bits are identical for every `threads` value and,
+when numpy's OpenBLAS is found, for every BLAS thread count. `allocate_dims`
+and `build_factorization` run pinned the same way, so a `compress` bundle is
+too; `refit_step` and `clustering_cost` run at the BLAS's own thread count.
 
 Reuse: a fit is a deterministic function of its rows, so `em_run` keeps the
 fit of each non-empty cluster whose rows are those of its last fit and the
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,7 +115,9 @@ class Clustering:
     """A partition of n rows among k subspaces together with its achieved cost.
 
     cost_history holds the objective after every completed EM iteration
-    (index 0 is the post-initialization cost); it is nonincreasing.
+    (index 0 is the post-initialization cost); it is nonincreasing. bases
+    holds every basis once, as one read-only (sum(dims), d) buffer, and each
+    subspaces[c].basis is a view of its rows.
 
     q is always 2 (the cost sums squared distances); any other value raises
     ParameterError. The field stays only for callers that still pass q=2.0.
@@ -129,6 +131,7 @@ class Clustering:
     converged: bool
     cost_history: tuple[float, ...] = ()
     q: float = 2.0
+    bases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.q != 2.0:
@@ -138,11 +141,17 @@ class Clustering:
         subspaces = tuple(self.subspaces)
         if len(subspaces) != self.k:
             raise ParameterError(f"expected {self.k} subspaces, got {len(subspaces)}")
+        d = subspaces[0].ambient
+        dims = [s.dim for s in _check_subspaces(subspaces, d)]
         a = _check_assignment(self.assignment, np.asarray(self.assignment).shape[0], self.k)
         a = a.copy()
         a.flags.writeable = False
+        bases = np.concatenate([s.basis for s in subspaces], out=np.empty((sum(dims), d)))
+        bases.flags.writeable = False
         object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "subspaces", subspaces)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "subspaces",
+                           tuple(Subspace(b) for b in np.split(bases, np.cumsum(dims)[:-1])))
         object.__setattr__(self, "cost_history", tuple(self.cost_history))
 
 
@@ -206,17 +215,25 @@ def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces, run=_s
     return np.concatenate([a for a, _ in parts]).astype(np.int64), sum(c for _, c in parts)
 
 
+def _own_distances_sq(points: np.ndarray, members: list[np.ndarray], subspaces) -> np.ndarray:
+    """Each row's squared distance to its cluster's subspace, read CHUNK_ROWS ids at a time."""
+    dists = np.empty(points.shape[0])
+    for ids, s in zip(members, subspaces):
+        for start in range(0, ids.size, CHUNK_ROWS):
+            chunk = ids[start : start + CHUNK_ROWS]
+            rows = points[chunk]
+            dists[chunk] = _distances_sq(rows, _row_norms_sq(rows), s)
+    return dists
+
+
 def clustering_cost(points, assignment, subspaces) -> float:
-    """Sum over rows of the squared distance to subspaces[assignment[row]]."""
+    """Sum over rows of the squared distance to subspaces[assignment[row]], cluster by cluster."""
     points = as_matrix(points)
     n, d = points.shape
     subspaces = _check_subspaces(subspaces, d)
-    a = _check_assignment(assignment, n, len(subspaces))
-    total = 0.0
-    for c, s in enumerate(subspaces):
-        rows = points[a == c]
-        total += float(np.sum(_distances_sq(rows, _row_norms_sq(rows), s)))
-    return total
+    members = _cluster_rows(_check_assignment(assignment, n, len(subspaces)), len(subspaces))
+    dists = _own_distances_sq(points, members, subspaces)
+    return sum(float(np.sum(dists[ids])) for ids in members)
 
 
 def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
@@ -227,7 +244,7 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
     and both read rows in CHUNK_ROWS chunks. kept[c], when not None, is a fit
     of exactly cluster c's rows and is returned as it is.
     """
-    n, d = points.shape
+    d = points.shape[1]
     k = len(dims)
     members = _cluster_rows(assignment, k)
 
@@ -241,13 +258,7 @@ def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
     if empty:
         # Reseed each empty cluster from the rows farthest from their current
         # fit, excluding rows already consumed by a previous heal.
-        dists = np.empty(n)
-        for c, ids in enumerate(members):
-            for s in range(0, ids.size, CHUNK_ROWS):
-                chunk = ids[s : s + CHUNK_ROWS]
-                rows = points[chunk]
-                dists[chunk] = _distances_sq(rows, _row_norms_sq(rows), subspaces[c])
-        order = np.argsort(-dists, kind="stable")
+        order = np.argsort(-_own_distances_sq(points, members, subspaces), kind="stable")
         cursor = 0
         for c in empty:
             take = order[cursor : cursor + dims[c]]

@@ -174,34 +174,29 @@ class SparseAssembly:
 def build_factorization(a, clustering: Clustering, threads: int = 1) -> MessiFactorization:
     """Group rows by cluster and factor each group over its fitted subspace.
 
-    Row z of cluster c contributes coefficients basis_c @ row to u, written
-    straight into u's slice of values, so u @ v is the orthogonal projection
-    of the cluster's rows. The products run as pinned (cluster, chunk of
-    CHUNK_ROWS rows) units, as EM's do, so no cluster is copied whole and the
-    bits depend on neither threads nor the BLAS thread count.
+    v_stacked is clustering.bases itself. Row z of cluster c contributes
+    basis_c @ row to u, written straight into u's slice of values. The
+    products run as pinned (cluster, chunk of CHUNK_ROWS rows) units, as EM's
+    do, so no cluster is copied whole and the bits depend on neither threads
+    nor the BLAS thread count. Each multiplies by basis_c.T copied row-major,
+    the layout of EM's fits, as OpenBLAS rounds small products per layout.
     """
     a = as_matrix(a)
     n, d = a.shape
-    if clustering.assignment.shape != (n,):
-        raise ParameterError(
-            f"clustering covers {clustering.assignment.shape[0]} rows, matrix has {n}"
-        )
-    for s in clustering.subspaces:
-        if s.ambient != d:
-            raise ParameterError(f"subspace ambient {s.ambient} does not match matrix columns {d}")
-    subs, rows = clustering.subspaces, _cluster_rows(clustering.assignment, clustering.k)
-    sizes, dims = [ids.size for ids in rows], [s.dim for s in subs]
-    values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
-    views = _block_views(values, v_stacked, sizes, dims)
+    shape = (clustering.assignment.shape[0], clustering.bases.shape[1])
+    if shape != (n, d):
+        raise ParameterError(f"clustering covers a {shape[0]}x{shape[1]} matrix, got {n}x{d}")
+    rows = _cluster_rows(clustering.assignment, clustering.k)
+    sizes, dims = [ids.size for ids in rows], [s.dim for s in clustering.subspaces]
+    values = np.empty(np.dot(sizes, dims))
+    views = _block_views(values, clustering.bases, sizes, dims)
     # One unit per (cluster, chunk): the chunk's row ids, its basis and its rows of u.
-    units = [(ids[s : s + CHUNK_ROWS], sub.basis, u[s : s + CHUNK_ROWS])
-             for ids, sub, (u, _) in zip(rows, subs, views) for s in range(0, ids.size, CHUNK_ROWS)]
+    units = [(ids[s : s + CHUNK_ROWS], v, u[s : s + CHUNK_ROWS])
+             for ids, (u, v) in zip(rows, views) for s in range(0, ids.size, CHUNK_ROWS)]
     with _one_blas_thread, _units(threads) as run:
-        run(lambda unit: np.matmul(a[unit[0]], unit[1].T, out=unit[2]), units)
-    for sub, (_, v) in zip(subs, views):
-        v[...] = sub.basis
+        run(lambda unit: np.matmul(a[unit[0]], np.ascontiguousarray(unit[1].T), out=unit[2]), units)
     return MessiFactorization(n=n, d=d, k=clustering.k, dims=dims, assignment=clustering.assignment,
-                              values=values, v_stacked=v_stacked)
+                              values=values, v_stacked=clustering.bases)
 
 
 def assemble_sparse(f: MessiFactorization) -> SparseAssembly:

@@ -128,13 +128,17 @@ class Subspace:
 
     The basis is (j, d) with basis @ basis.T within ORTHONORMALITY_TOL of the
     identity. Distinct bases can span the same subspace; compare subspaces via
-    their projection operators basis.T @ basis, never via raw rows.
+    their projection operators basis.T @ basis, never via raw rows. A read-only
+    C-contiguous float64 view of a read-only array is kept; any other basis is copied.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.basis, dtype=np.float64, copy=True)
+        b = self.basis
+        if not (isinstance(getattr(b, "base", None), np.ndarray) and b.dtype == np.float64
+                and b.flags.c_contiguous and not (b.flags.writeable or b.base.flags.writeable)):
+            b = np.array(b, dtype=np.float64, copy=True)
         if b.ndim != 2:
             raise ParameterError(f"basis must be 2-d, got ndim={b.ndim}")
         j, d = b.shape

@@ -75,6 +75,15 @@ class TestClusteringCost:
         got = clustering_cost(pts, labels, subs)
         assert got == pytest.approx(pointwise_cost(pts, labels, subs), rel=1e-10)
 
+    def test_multi_chunk_matches_pointwise_oracle(self):
+        rng = np.random.default_rng(15)
+        pts = rng.standard_normal((3000, 16))
+        labels = rng.integers(0, 3, size=3000)
+        labels[: CHUNK_ROWS + 1] = 0  # cluster 0 spans two chunks
+        subs = refit_step(pts, labels, 3, 4)
+        got = clustering_cost(pts, labels, subs)
+        assert got == pytest.approx(pointwise_cost(pts, labels, subs), rel=1e-10)
+
     def test_invalid_ids(self):
         pts = np.eye(3)
         subs = [Subspace(np.eye(3)[:1])]
@@ -632,6 +641,9 @@ class TestClusteringType:
         with pytest.raises(ParameterError):
             Clustering(k=1, assignment=[0, 0], subspaces=subs, cost=0.0, q=1.0,
                        iterations=0, converged=True)  # only squared distances
+        with pytest.raises(ParameterError, match="does not match"):
+            Clustering(k=2, assignment=[0, 1], cost=0.0, iterations=0, converged=True,
+                       subspaces=(Subspace(np.eye(3)[:1]), Subspace(np.eye(4)[:1])))
 
     def test_assignment_read_only(self):
         from messi import Clustering

@@ -23,7 +23,7 @@ from messi import (
     svd_baseline_params,
     truncated_svd,
 )
-from messi.linalg import _blas_threads, _set_blas_threads
+from messi.linalg import _blas_threads, _one_blas_thread, _set_blas_threads
 from oracles import dense_u
 
 
@@ -94,6 +94,8 @@ class TestBuildFactorization:
         clus = make_clustering(pts, 2, 1)
         with pytest.raises(ParameterError):
             build_factorization(rng.standard_normal((11, 4)), clus)
+        with pytest.raises(ParameterError, match="10x4 matrix, got 10x5"):
+            build_factorization(rng.standard_normal((10, 5)), clus)
 
     def test_empty_cluster_yields_zero_row_block(self):
         pts = np.outer(np.arange(1.0, 6.0), [1.0, 0.0, 0.0])
@@ -111,6 +113,19 @@ class TestBuildFactorization:
         assert fact.blocks[1].u.shape == (0, 1)
         # The empty cluster still contributes its basis parameters.
         assert fact.param_count() == 5 * 1 + 2 * 1 * 3
+
+    def test_coefficients_are_products_with_the_fits_em_made(self):
+        # Row counts and dims at which OpenBLAS rounds a product differently
+        # for a row-major and a column-major basis; EM's fits are column-major.
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((2 + 5 + 100, 64))
+        assignment = np.repeat([0, 1, 2], [2, 5, 100])
+        subs = refit_step(pts, assignment, 3, [7, 8, 45])
+        fact = build_factorization(pts, Clustering(k=3, assignment=assignment, subspaces=subs,
+                                                   cost=0.0, iterations=0, converged=True))
+        with _one_blas_thread:
+            for b, s in zip(fact.blocks, subs):
+                assert np.array_equal(b.u, pts[b.row_ids] @ s.basis.T)
 
     def test_values_identical_across_threads_and_blas_threads(self):
         # Large enough that OpenBLAS would split an unpinned product across its threads.
@@ -191,6 +206,25 @@ class TestSingleCopy:
     def test_loaded(self, tmp_path):
         save_bundle(mixed_dims_factorization(), tmp_path / "b")
         self.assert_single_copy(load_bundle(tmp_path / "b"))
+
+    def test_bases_shared_from_clustering_to_factorization(self):
+        pts = planted_20x10()
+        clus = make_clustering(pts, 2, 3)
+        fact = build_factorization(pts, clus)
+        assert np.shares_memory(fact.v_stacked, clus.bases)
+        assert not clus.bases.flags.writeable and clus.bases.shape == (6, 10)
+        for s in clus.subspaces:
+            assert s.basis.base is clus.bases
+
+    def test_writable_basis_is_copied(self):
+        arr = np.eye(4)[:2].copy()
+        s = Subspace(arr)
+        arr[0, 0] = 5.0
+        assert not np.shares_memory(s.basis, arr)
+        np.testing.assert_array_equal(s.basis, np.eye(4)[:2])
+        read_only_copy = np.eye(4)[:2].copy()  # owns its memory, so it can be made writable
+        read_only_copy.flags.writeable = False
+        assert not np.shares_memory(Subspace(read_only_copy).basis, read_only_copy)
 
 
 class TestSparseAssembly:

@@ -1,4 +1,4 @@
-"""Bounded-memory checks: fits and factor builds read a cluster's rows in fixed chunks.
+"""Bounded-memory checks: fits, costs and factor builds read a cluster's rows in fixed chunks.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 counts every temporary array it makes. A cluster of n_c rows gathered whole
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from messi import Clustering, build_factorization, refit_step
+from messi import Clustering, build_factorization, clustering_cost, refit_step
 from messi.cluster import _refit
 from messi.linalg import CHUNK_ROWS
 
@@ -52,3 +52,10 @@ def test_build_factorization_peak_is_bounded(instance):
                             cost=0.0, iterations=0, converged=True)
     f, peak = traced_peak(lambda: build_factorization(points, clustering, threads=1))
     assert peak - f.values.nbytes - f.v_stacked.nbytes < BOUND
+
+
+def test_clustering_cost_peak_is_bounded(instance):
+    points, assignment = instance
+    subspaces = refit_step(points, assignment, 2, J)
+    _, peak = traced_peak(lambda: clustering_cost(points, assignment, subspaces))
+    assert peak < BOUND
