@@ -24,6 +24,7 @@ from .evalgen import (
     run_sweep,
 )
 from .factorization import build_factorization, equal_budget_j, reconstruct
+from .linalg import orthonormality_residual
 
 
 def _parse_list(value: str, name: str, kind: type, valid, bounds: str) -> list:
@@ -260,14 +261,9 @@ def inspect(obj, bundle_dir):
         click.echo(f"{key}={meta[key]}")
     click.echo(f"dims={';'.join(str(j) for j in fact.dims)}")
     click.echo(f"params={fact.param_count()}")
-    sizes = fact.block_sizes()
     for c, b in enumerate(fact.blocks):
-        if fact.dims[c] > 0:
-            dev = float(np.max(np.abs(b.v @ b.v.T - np.eye(fact.dims[c]))))
-        else:
-            dev = 0.0
-        click.echo(f"block {c}: rows={sizes[c]} dim={fact.dims[c]} "
-                   f"orthonormality_residual={dev:.3e}")
+        click.echo(f"block {c}: rows={b.row_ids.size} dim={fact.dims[c]} "
+                   f"orthonormality_residual={orthonormality_residual(b.v):.3e}")
     widths = np.asarray(fact.dims, dtype=np.int64)[fact.assignment]
     click.echo(
         "nonzeros_per_row: "

@@ -47,6 +47,7 @@ from .linalg import (
     _gram_eigh,
     _one_blas_thread,
     _row_norms_sq,
+    _subspace_view,
     as_matrix,
     best_fit_subspace,
 )
@@ -116,8 +117,9 @@ class Clustering:
 
     cost_history holds the objective after every completed EM iteration
     (index 0 is the post-initialization cost); it is nonincreasing. bases
-    holds every basis once, as one read-only (sum(dims), d) buffer, and each
-    subspaces[c].basis is a view of its rows.
+    holds every basis once, as one read-only (sum(dims), d) copy of the given
+    subspaces' bases; each subspaces[c].basis is a view of its rows, not
+    checked again, since each given Subspace was checked when it was made.
 
     q is always 2 (the cost sums squared distances); any other value raises
     ParameterError. The field stays only for callers that still pass q=2.0.
@@ -151,11 +153,12 @@ class Clustering:
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "subspaces",
-                           tuple(Subspace(b) for b in np.split(bases, np.cumsum(dims)[:-1])))
+                           tuple(map(_subspace_view, np.split(bases, np.cumsum(dims)[:-1]))))
         object.__setattr__(self, "cost_history", tuple(self.cost_history))
 
 
 def _check_assignment(assignment, n: int, k: int) -> np.ndarray:
+    """The assignment as int64, after checking it is n cluster ids in [0, k)."""
     a = np.asarray(assignment, dtype=np.int64)
     if a.ndim != 1 or a.shape[0] != n:
         raise ParameterError(f"assignment must be a length-{n} id list, got shape {a.shape}")
@@ -195,15 +198,16 @@ def _check_dims(k: int, j: int | Sequence[int], d: int) -> list[int]:
 
 
 def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces, run=_serial_map,
-                     dists: np.ndarray | None = None, prior=None) -> tuple[np.ndarray, float]:
+                     dists: np.ndarray | None = None, kept=None) -> tuple[np.ndarray, float]:
     """Nearest-subspace assignment and its cost from one n x k distance pass.
 
     The pass runs over fixed chunks of CHUNK_ROWS rows; the chunk costs are
-    added in chunk order. dists, when given, is an n x k buffer that already
-    holds the columns of the subspaces in prior; only the others are computed.
+    added in chunk order. dists, when given, is an n x k buffer; where the
+    boolean mask kept is True, its column already holds that subspace's
+    distances, and only the other columns are computed.
     """
     dists = np.empty((points.shape[0], len(subspaces))) if dists is None else dists
-    stale = [c for c, s in enumerate(subspaces) if prior is None or s is not prior[c]]
+    stale = [c for c in range(len(subspaces)) if kept is None or not kept[c]]
 
     def chunk(start: int):
         rows = slice(start, start + CHUNK_ROWS)
@@ -237,20 +241,20 @@ def clustering_cost(points, assignment, subspaces) -> float:
 
 
 def _refit(points: np.ndarray, assignment: np.ndarray, dims: list[int],
-           run=_serial_map, kept=None) -> list[Subspace]:
+           run=_serial_map, prior=None, kept=None) -> list[Subspace]:
     """Per-cluster best-fit refit with farthest-point healing of empty clusters.
 
     Each cluster's fit is one work unit; the healing runs serially after them,
-    and both read rows in CHUNK_ROWS chunks. kept[c], when not None, is a fit
-    of exactly cluster c's rows and is returned as it is.
+    and both read rows in CHUNK_ROWS chunks. Where the boolean mask kept is
+    True, prior[c] is a fit of exactly cluster c's rows and is returned as it is.
     """
     d = points.shape[1]
     k = len(dims)
     members = _cluster_rows(assignment, k)
 
     def fit(c: int) -> Subspace | None:
-        if kept and kept[c] is not None:
-            return kept[c]
+        if kept is not None and kept[c]:
+            return prior[c]
         return best_fit_subspace(points, dims[c], members[c]) if members[c].size else None
 
     subspaces = run(fit, range(k))
@@ -337,12 +341,11 @@ def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_inde
             if fitted_from is not None:
                 # A non-empty cluster that no moved row leaves or enters keeps its fit.
                 moved = assignment != fitted_from
-                keep = np.bincount(assignment, minlength=k) > 0
-                keep[assignment[moved]] = keep[fitted_from[moved]] = False
-                kept = [s if keep[c] else None for c, s in enumerate(subspaces)]
-            prior, fitted_from = subspaces, assignment
-            subspaces = _refit(points, assignment, dims, run, kept)
-            assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run, dists, prior)
+                kept = np.bincount(assignment, minlength=k) > 0
+                kept[assignment[moved]] = kept[fitted_from[moved]] = False
+            fitted_from = assignment
+            subspaces = _refit(points, assignment, dims, run, subspaces, kept)
+            assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run, dists, kept)
             history.append(new_cost)
             improvement = (cost - new_cost) / max(cost, _COST_EPS)
             cost = new_cost
@@ -381,7 +384,7 @@ def em_multi_restart(points, k: int, j: int | Sequence[int], opts: EmOptions,
     return results[best]
 
 
-def allocate_dims(points, assignment, total_dims: int, k: int | None = None) -> list[int]:
+def allocate_dims(points, assignment, total_dims: int, k: int) -> list[int]:
     """Greedy split of a total dimension budget across clusters.
 
     Every cluster starts at one dimension; each remaining dimension goes to
@@ -390,10 +393,7 @@ def allocate_dims(points, assignment, total_dims: int, k: int | None = None) -> 
     """
     points = as_matrix(points)
     n, d = points.shape
-    a = np.asarray(assignment, dtype=np.int64)
-    if k is None:
-        k = int(a.max()) + 1 if a.size else 1
-    a = _check_assignment(a, n, k)
+    a = _check_assignment(assignment, n, k)
     if total_dims < k:
         raise ParameterError(f"total_dims {total_dims} cannot cover {k} clusters at one dim each")
     if total_dims > k * d:

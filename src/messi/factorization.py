@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Clustering, _cluster_rows, _units
+from .cluster import Clustering, _check_assignment, _cluster_rows, _units
 from .errors import ParameterError
-from .linalg import CHUNK_ROWS, ORTHONORMALITY_TOL, _one_blas_thread, as_matrix
+from .linalg import CHUNK_ROWS, ORTHONORMALITY_TOL, _one_blas_thread, as_matrix, orthonormality_residual
 
 __all__ = [
     "Block",
@@ -106,11 +106,7 @@ def _derive_blocks(f: MessiFactorization) -> tuple[tuple[Block, ...], np.ndarray
         raise ParameterError(f"factorization needs n >= 1 and d >= 1, got n={f.n}, d={f.d}")
     if f.k < 1 or len(f.dims) != f.k or min(f.dims) < 0:
         raise ParameterError(f"expected {f.k} nonnegative dims, got {f.dims}")
-    if f.assignment.shape != (f.n,):
-        raise ParameterError(f"assignment must have length n={f.n}")
-    if f.assignment.min() < 0 or f.assignment.max() >= f.k:
-        raise ParameterError(f"assignment contains ids outside [0, {f.k})")
-    rows = _cluster_rows(f.assignment, f.k)
+    rows = _cluster_rows(_check_assignment(f.assignment, f.n, f.k), f.k)
     sizes = [ids.size for ids in rows]
     shapes = {"values": (int(np.dot(sizes, f.dims)),), "v_stacked": (sum(f.dims), f.d)}
     for name, shape in shapes.items():
@@ -121,10 +117,9 @@ def _derive_blocks(f: MessiFactorization) -> tuple[tuple[Block, ...], np.ndarray
     blocks = []
     for c, (ids, (u, v)) in enumerate(zip(rows, views)):
         positions[ids] = np.arange(ids.size)
-        if v.size:
-            dev = float(np.max(np.abs(v @ v.T - np.eye(v.shape[0]))))
-            if dev > ORTHONORMALITY_TOL:
-                raise ParameterError(f"block {c} v rows are not orthonormal (max deviation {dev:.3e})")
+        dev = orthonormality_residual(v)
+        if not dev <= ORTHONORMALITY_TOL:
+            raise ParameterError(f"block {c} v rows are not orthonormal (max deviation {dev:.3e})")
         blocks.append(Block(row_ids=ids, u=u, v=v))
     return tuple(blocks), positions
 

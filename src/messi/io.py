@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import _check_assignment
 from .errors import FormatError, InputError, MessiError
 from .factorization import MessiFactorization, _block_views
 from .linalg import _all_finite
@@ -306,13 +307,12 @@ def load_bundle(directory) -> MessiFactorization:
     directory = os.fspath(directory)
     meta = load_bundle_meta(directory)
     n, d, k, dims = meta["n"], meta["d"], meta["k"], meta["dims"]
-    assignment = load_index_vector(os.path.join(directory, "assignment.npy"))
-    if assignment.shape != (n,):
-        raise FormatError(
-            f"{directory}: assignment length {assignment.shape[0]} does not match meta n={n}"
-        )
-    if assignment.size and (assignment.min() < 0 or assignment.max() >= k):
-        raise FormatError(f"{directory}: assignment contains ids outside [0, {k})")
+    path = os.path.join(directory, "assignment.npy")
+    assignment = load_index_vector(path)
+    try:
+        assignment = _check_assignment(assignment, n, k)
+    except MessiError as e:
+        raise FormatError(f"{path}: {e}") from e
     sizes = np.bincount(assignment, minlength=k)
     try:  # before any array header is read, a corrupted meta can imply absurd sizes
         values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))

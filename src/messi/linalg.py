@@ -122,23 +122,26 @@ def _all_finite(m: np.ndarray) -> bool:
     return all(np.isfinite(m[s : s + CHUNK_ROWS]).all() for s in range(0, m.shape[0], CHUNK_ROWS))
 
 
+def orthonormality_residual(basis: np.ndarray) -> float:
+    """max |basis @ basis.T - I| of a (j, d) basis, 0 for j == 0 (NaN if an entry is NaN)."""
+    j = basis.shape[0]
+    return float(np.max(np.abs(basis @ basis.T - np.eye(j)))) if j else 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A j-dimensional linear subspace of R^d, stored as j orthonormal basis rows.
 
     The basis is (j, d) with basis @ basis.T within ORTHONORMALITY_TOL of the
     identity. Distinct bases can span the same subspace; compare subspaces via
-    their projection operators basis.T @ basis, never via raw rows. A read-only
-    C-contiguous float64 view of a read-only array is kept; any other basis is copied.
+    their projection operators basis.T @ basis, never via raw rows. The basis
+    is always copied, so no caller can change it after it is checked.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        b = self.basis
-        if not (isinstance(getattr(b, "base", None), np.ndarray) and b.dtype == np.float64
-                and b.flags.c_contiguous and not (b.flags.writeable or b.base.flags.writeable)):
-            b = np.array(b, dtype=np.float64, copy=True)
+        b = np.array(self.basis, dtype=np.float64, copy=True)
         if b.ndim != 2:
             raise ParameterError(f"basis must be 2-d, got ndim={b.ndim}")
         j, d = b.shape
@@ -146,11 +149,9 @@ class Subspace:
             raise ParameterError(f"subspace dimension {j} exceeds ambient dimension {d}")
         if not np.all(np.isfinite(b)):
             raise InputError("basis contains non-finite entries")
-        if j > 0:
-            gram = b @ b.T
-            dev = float(np.max(np.abs(gram - np.eye(j))))
-            if dev > ORTHONORMALITY_TOL:
-                raise ParameterError(f"basis rows are not orthonormal (max deviation {dev:.3e})")
+        dev = orthonormality_residual(b)
+        if not dev <= ORTHONORMALITY_TOL:
+            raise ParameterError(f"basis rows are not orthonormal (max deviation {dev:.3e})")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
@@ -161,6 +162,13 @@ class Subspace:
     @property
     def ambient(self) -> int:
         return self.basis.shape[1]
+
+
+def _subspace_view(basis: np.ndarray) -> Subspace:
+    """A Subspace over a read-only basis whose rows were already checked: no copy, no check."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "basis", basis)
+    return s
 
 
 @dataclass(frozen=True, eq=False)

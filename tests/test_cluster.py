@@ -592,14 +592,14 @@ class TestAllocateDims:
         block = np.diag([3.0, 2.0, 1.0])
         pts = np.vstack([block, block])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        assert allocate_dims(pts, labels, 4) == [2, 2]
+        assert allocate_dims(pts, labels, 4, k=2) == [2, 2]
 
     def test_rank_one_vs_rank_three(self):
         c0 = np.outer([1.0, 2.0, 3.0], [1.0, 0, 0, 0])
         c1 = np.array([[0.0, 3.0, 0, 0], [0.0, 0, 2.0, 0], [0.0, 0, 0, 1.0]])
         pts = np.vstack([c0, c1])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        assert allocate_dims(pts, labels, 4) == [1, 3]
+        assert allocate_dims(pts, labels, 4, k=2) == [1, 3]
 
     def test_matches_exhaustive_composition_search(self):
         rng = np.random.default_rng(32)

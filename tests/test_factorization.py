@@ -1,5 +1,7 @@
 """Tests for factorization building, sparse assembly and parameter accounting."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from messi import (
     svd_baseline_params,
     truncated_svd,
 )
-from messi.linalg import _blas_threads, _one_blas_thread, _set_blas_threads
+from messi.linalg import _blas_threads, _one_blas_thread, _set_blas_threads, orthonormality_residual
 from oracles import dense_u
 
 
@@ -225,6 +227,52 @@ class TestSingleCopy:
         read_only_copy = np.eye(4)[:2].copy()  # owns its memory, so it can be made writable
         read_only_copy.flags.writeable = False
         assert not np.shares_memory(Subspace(read_only_copy).basis, read_only_copy)
+        read_only = np.eye(4)
+        read_only.flags.writeable = False
+        view = read_only[:2]  # a read-only, C-contiguous float64 view of a read-only array
+        assert not np.shares_memory(Subspace(view).basis, read_only)
+
+
+class TestCheckedOnce:
+    """Each basis is checked for orthonormality once per point where it enters."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of orthonormality_residual, by the module each caller looks it up in."""
+        calls = {"linalg": 0, "factorization": 0}
+        for name in calls:
+            module = importlib.import_module(f"messi.{name}")
+
+            def counting(basis, name=name, fn=module.orthonormality_residual):
+                calls[name] += 1
+                return fn(basis)
+            monkeypatch.setattr(module, "orthonormality_residual", counting)
+        return calls
+
+    def test_clustering_runs_no_check_and_build_one_per_block(self, calls):
+        pts = planted_20x10()
+        labels = np.repeat([0, 1], 10)
+        subs = refit_step(pts, labels, 2, [3, 2])  # each fit's Subspace is checked
+        checked = calls["linalg"]
+        assert checked >= 2
+        clus = Clustering(k=2, assignment=labels, subspaces=subs, cost=0.0, iterations=0,
+                          converged=True)
+        assert calls == {"linalg": checked, "factorization": 0}
+        fact = build_factorization(pts, clus)
+        assert calls == {"linalg": checked, "factorization": fact.k}
+
+    def test_nan_residual_rejected(self):
+        basis = np.eye(3)[:2]
+        assert orthonormality_residual(basis) == 0.0
+        assert orthonormality_residual(np.empty((0, 3))) == 0.0
+        with_nan = basis.copy()
+        with_nan[1, 2] = np.nan
+        assert np.isnan(orthonormality_residual(with_nan))
+        f = mixed_dims_factorization()
+        v_stacked = f.v_stacked.copy()
+        v_stacked[0, 0] = np.nan
+        with pytest.raises(ParameterError, match="block 0 v rows are not orthonormal"):
+            TestPartitionChecks.rebuild(f, v_stacked=v_stacked)
 
 
 class TestSparseAssembly:

@@ -260,6 +260,30 @@ class TestBundleRoundTrip:
         with pytest.raises(FormatError, match="invariant|orthonormal"):
             load_bundle(bundle)
 
+    def test_nan_in_basis_rejected(self, tmp_path):
+        _, clus, fact = make_factorization(seed=8)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        v = np.load(bundle / "v_0.npy")
+        v[0, 0] = np.nan
+        mio._write_npy(bundle / "v_0.npy", v, "<f8")
+        with pytest.raises(FormatError, match="orthonormal"):
+            load_bundle(bundle)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda a, k: np.where(a == a[0], k, a),  # an id equal to k
+        lambda a, k: np.where(a == a[0], -1, a),
+        lambda a, k: a[:-1],  # n - 1 entries
+    ], ids=["id-k", "id-minus-1", "short"])
+    def test_bad_assignment_names_the_file(self, tmp_path, tamper):
+        _, clus, fact = make_factorization(seed=17)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        mio._write_npy(bundle / "assignment.npy", tamper(np.load(bundle / "assignment.npy"), fact.k),
+                       "<i8")
+        with pytest.raises(FormatError, match="assignment.npy: "):
+            load_bundle(bundle)
+
     @pytest.mark.parametrize("name, tamper, match", [
         ("u_1.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), "data truncated"),
         ("v_0.npy", lambda path: path.write_bytes(path.read_bytes() + b"\x00"), "trailing bytes"),
