@@ -64,23 +64,15 @@ def _serial_map(fn, items) -> list:
 
 @contextmanager
 def _units(threads: int):
-    """Yield a map(fn, items) that runs each item as one work unit.
-
-    threads - 1 pool workers take units from the front while the calling
-    thread takes the ones no worker has started from the back. Results come
-    back in item order.
+    """Yield a map(fn, items) that runs each item as one work unit on a pool of
+    threads workers (in the calling thread for threads <= 1). Results come back
+    in item order.
     """
     if threads <= 1:
         yield _serial_map
         return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        def run(fn, items) -> list:
-            items = list(items)
-            futures = [pool.submit(fn, item) for item in items]
-            own = {i: fn(items[i]) for i in reversed(range(len(items))) if futures[i].cancel()}
-            return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
-
-        yield run
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield lambda fn, items: list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

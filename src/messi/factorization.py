@@ -100,6 +100,14 @@ def _block_views(values, v_stacked, sizes, dims) -> list[tuple[np.ndarray, np.nd
     return [(u.reshape(s, j), v) for u, v, s, j in zip(us, vs, sizes, dims)]
 
 
+class _NotOrthonormal(ParameterError):
+    """Block `block`'s v rows are not orthonormal, so a loader can name its file."""
+
+    def __init__(self, block: int, dev: float):
+        super().__init__(f"block {block} v rows are not orthonormal (max deviation {dev:.3e})")
+        self.block = block
+
+
 def _derive_blocks(f: MessiFactorization) -> tuple[tuple[Block, ...], np.ndarray]:
     """Check the invariants; return the blocks and each row's position inside its block."""
     if f.n < 1 or f.d < 1:
@@ -119,7 +127,7 @@ def _derive_blocks(f: MessiFactorization) -> tuple[tuple[Block, ...], np.ndarray
         positions[ids] = np.arange(ids.size)
         dev = orthonormality_residual(v)
         if not dev <= ORTHONORMALITY_TOL:
-            raise ParameterError(f"block {c} v rows are not orthonormal (max deviation {dev:.3e})")
+            raise _NotOrthonormal(c, dev)
         blocks.append(Block(row_ids=ids, u=u, v=v))
     return tuple(blocks), positions
 
@@ -237,12 +245,8 @@ def lookup(f: MessiFactorization, ids) -> np.ndarray:
 
 
 def reconstruct(f: MessiFactorization) -> np.ndarray:
-    """The full n x d reconstruction; row z equals lookup(f, [z])[0]."""
-    out = np.zeros((f.n, f.d))
-    for b in f.blocks:
-        if b.row_ids.size:
-            out[b.row_ids] = b.u @ b.v
-    return out
+    """The full n x d reconstruction, lookup(f, [0, 1, ..., n - 1])."""
+    return lookup(f, np.arange(f.n))
 
 
 def param_count(n: int, d: int, k: int, dims, cluster_sizes=None) -> int:

@@ -1,12 +1,15 @@
 """Bit-exact persistence: NPY matrices, factorization bundles, CSV reports.
 
-Matrices travel as NPY format version 1.0 and nothing else: 6-byte magic,
-version bytes 01 00, little-endian header length, then a Python-literal
-header dict with descr "<f4" or "<f8", fortran_order False and a 2-element
-shape. Anything outside that subset (pickled dtypes, newer versions,
-column-major data) is rejected with a FormatError naming the offending
-field, so files exported from any deep-learning stack either load exactly
-or fail loudly.
+Matrices travel as NPY format version 1.0 and nothing else. numpy.lib.format
+writes and parses the header; this module accepts only version 1.0, a dtype
+whose str is "<f4" or "<f8" ("<i8" for index vectors), fortran_order False
+and a shape of the expected ndim with nonnegative dims, and the body must
+fill the rest of the file exactly. numpy's parser also reads other spellings
+of the same dtype (such as "<d") and Python 2 "L" suffixes, and caps a
+header at 10,000 bytes. Anything outside that subset (pickled dtypes,
+big-endian data, newer versions, column-major data) is rejected with a
+FormatError naming the file, so files exported from any deep-learning
+stack either load exactly or fail loudly.
 
 A factorization bundle is a directory holding meta.json, assignment.npy and
 per-cluster u_i.npy / v_i.npy files; save writes to a temporary sibling and
@@ -17,28 +20,22 @@ written from and read into the arrays' own buffers, without a copy.
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 import os
 import shutil
-import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from io import BytesIO
+from tokenize import TokenError
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .cluster import _check_assignment
 from .errors import FormatError, InputError, MessiError
-from .factorization import MessiFactorization, _block_views
+from .factorization import MessiFactorization, _block_views, _NotOrthonormal
 from .linalg import _all_finite
-
-_MAGIC = b"\x93NUMPY"
-_VERSION = b"\x01\x00"
-
-REPORT_HEADER = (
-    "k,dims,params,compression_rate,frobenius_error,relative_error,iterations,converged,seed"
-)
 
 _META_KEYS = ("format_version", "n", "d", "k", "dims", "q", "seed", "cost", "iterations")
 _BUNDLE_FORMAT_VERSION = 1
@@ -46,20 +43,11 @@ _BUNDLE_FORMAT_VERSION = 1
 
 # ---------------------------------------------------------------- NPY files
 
-def _build_header(descr: str, shape: tuple[int, ...]) -> bytes:
-    shape_repr = "(" + ", ".join(str(int(s)) for s in shape) + ("," if len(shape) == 1 else "") + ")"
-    body = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape_repr}, }}"
-    # Pad with spaces so magic + version + length field + header is a
-    # multiple of 64 bytes, terminated by a newline (the 1.0 convention).
-    unpadded = len(_MAGIC) + len(_VERSION) + 2 + len(body) + 1
-    pad = (64 - unpadded % 64) % 64
-    header = body + " " * pad + "\n"
-    return _MAGIC + _VERSION + struct.pack("<H", len(header)) + header.encode("latin1")
-
-
 def _write_npy(path, arr: np.ndarray, descr: str) -> None:
     data = np.ascontiguousarray(arr).astype(descr, copy=False)
-    _atomic_write_bytes(path, _build_header(descr, data.shape), data)
+    header = BytesIO()
+    npy_format.write_array_header_1_0(header, npy_format.header_data_from_array_1_0(data))
+    _atomic_write_bytes(path, header.getvalue(), data)
 
 
 def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int, out=None) -> np.ndarray:
@@ -70,47 +58,32 @@ def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int, out=Non
     except OSError as e:
         raise FormatError(f"cannot open {path}: {e}") from e
     with fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected NPY")
-        version = fh.read(2)
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported NPY version {tuple(version)}, only 1.0 is accepted")
-        raw_len = fh.read(2)
-        if len(raw_len) != 2:
-            raise FormatError(f"{path}: truncated header length field")
-        (header_len,) = struct.unpack("<H", raw_len)
-        header = fh.read(header_len)
-        if len(header) != header_len:
-            raise FormatError(f"{path}: truncated header")
         try:
-            meta = ast.literal_eval(header.decode("latin1"))
-        except (ValueError, SyntaxError) as e:
-            raise FormatError(f"{path}: unparseable header: {e}") from e
-        if not isinstance(meta, dict) or set(meta) != {"descr", "fortran_order", "shape"}:
-            raise FormatError(f"{path}: header must define exactly descr/fortran_order/shape")
-        descr = meta["descr"]
-        if descr not in allowed_descrs:
-            raise FormatError(f"{path}: unsupported descr {descr!r}, expected one of {allowed_descrs}")
-        if meta["fortran_order"] is not False:
+            version = npy_format.read_magic(fh)
+        except ValueError as e:
+            raise FormatError(f"{path}: {e}") from e
+        if version != (1, 0):
+            raise FormatError(f"{path}: unsupported NPY version {version}, only 1.0 is accepted")
+        try:
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+        except (ValueError, TypeError, SyntaxError, TokenError) as e:  # numpy raises all four
+            raise FormatError(f"{path}: invalid NPY header: {e}") from e
+        if dtype.str not in allowed_descrs:
+            raise FormatError(f"{path}: unsupported descr {dtype.str!r}, expected one of {allowed_descrs}")
+        if fortran_order:
             raise FormatError(f"{path}: fortran_order must be False")
-        shape = meta["shape"]
-        if (
-            not isinstance(shape, tuple)
-            or len(shape) != expected_ndim
-            or not all(isinstance(s, int) and s >= 0 for s in shape)
-        ):
+        if len(shape) != expected_ndim or any(s < 0 for s in shape):
             raise FormatError(f"{path}: shape {shape!r} is not a valid {expected_ndim}-d shape")
         if out is not None and shape != out.shape:
             raise FormatError(f"{path}: has shape {shape}, meta implies {out.shape}")
-        nbytes = math.prod(shape) * int(descr[2:])
+        nbytes = math.prod(shape) * dtype.itemsize
         # The body's size is checked against the file's before any allocation.
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available < nbytes:
             raise FormatError(f"{path}: data truncated ({available} of {nbytes} bytes)")
         if available > nbytes:
             raise FormatError(f"{path}: trailing bytes after array data")
-        out = np.empty(shape, dtype=descr) if out is None else out
+        out = np.empty(shape, dtype=dtype) if out is None else out
         if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
             raise FormatError(f"{path}: data truncated while reading")
     return out
@@ -324,8 +297,8 @@ def load_bundle(directory) -> MessiFactorization:
     try:
         return MessiFactorization(n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
                                   values=values, v_stacked=v_stacked)
-    except MessiError as e:
-        raise FormatError(f"{directory}: invariant violated: {e}") from e
+    except _NotOrthonormal as e:
+        raise FormatError(f"{os.path.join(directory, f'v_{e.block}.npy')}: {e}") from e
 
 
 # ---------------------------------------------------------------- reports
@@ -360,26 +333,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+REPORT_HEADER = ",".join(f.name for f in fields(ReportRow))
+
+
+def _optional(read):
+    """The reader of a field whose None value renders as the empty string."""
+    return lambda text: read(text) if text else None
+
+
+# How parse_report reads each ReportRow field back from its CSV text.
+_READERS = {
+    "k": int,
+    "dims": _optional(lambda text: tuple(int(j) for j in text.split(";"))),
+    "params": _optional(int),
+    "compression_rate": _optional(float),
+    "frobenius_error": _optional(float),
+    "relative_error": _optional(float),
+    "iterations": int,
+    "converged": lambda text: text == "true",
+    "seed": int,
+}
+
+
 def render_report(rows) -> str:
     """The CSV text for a sequence of ReportRow (17 significant digits)."""
-    lines = [REPORT_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.k,
-                    r.dims,
-                    r.params,
-                    r.compression_rate,
-                    r.frobenius_error,
-                    r.relative_error,
-                    r.iterations,
-                    r.converged,
-                    r.seed,
-                )
-            )
-        )
+    lines = [REPORT_HEADER] + [",".join(_fmt(v) for v in astuple(r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -393,23 +371,11 @@ def parse_report(text: str) -> list[ReportRow]:
     lines = text.strip("\n").split("\n")
     if not lines or lines[0] != REPORT_HEADER:
         raise FormatError("report header does not match the expected schema")
+    names = [f.name for f in fields(ReportRow)]
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 9:
-            raise FormatError(f"report row has {len(parts)} fields, expected 9")
-        k, dims, params, rate, fe, re_, iters, conv, seed = parts
-        rows.append(
-            ReportRow(
-                k=int(k),
-                dims=tuple(int(x) for x in dims.split(";")) if dims else None,
-                params=int(params) if params else None,
-                compression_rate=float(rate) if rate else None,
-                frobenius_error=float(fe) if fe else None,
-                relative_error=float(re_) if re_ else None,
-                iterations=int(iters),
-                converged=conv == "true",
-                seed=int(seed),
-            )
-        )
+        if len(parts) != len(names):
+            raise FormatError(f"report row has {len(parts)} fields, expected {len(names)}")
+        rows.append(ReportRow(**{name: _READERS[name](part) for name, part in zip(names, parts)}))
     return rows

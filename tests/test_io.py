@@ -77,6 +77,21 @@ class TestMatrixRoundTrip:
         assert loaded.dtype == np.float64
         np.testing.assert_array_equal(loaded, m32.astype(np.float64))
 
+    @pytest.mark.parametrize("save, value, header", [
+        (save_matrix, np.ones((2, 2)),
+         "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), }" + " " * 58),
+        (mio.save_index_vector, np.arange(3),
+         "{'descr': '<i8', 'fortran_order': False, 'shape': (3,), }" + " " * 60),
+        (save_matrix, np.zeros((0, 3)),
+         "{'descr': '<f8', 'fortran_order': False, 'shape': (0, 3), }" + " " * 58),
+    ], ids=["f8-2x2", "i8-vector", "f8-0x3"])
+    def test_golden_header_bytes(self, tmp_path, save, value, header):
+        # Magic, version 1.0, header length 118, then the padded header: 128 bytes.
+        path = tmp_path / "a.npy"
+        save(value, path)
+        golden = b"\x93NUMPY\x01\x00\x76\x00" + header.encode("latin1") + b"\n"
+        assert path.read_bytes() == golden + value.tobytes()
+
 
 class TestNpyRejection:
     def _valid_bytes(self, tmp_path):
@@ -157,6 +172,30 @@ class TestNpyRejection:
         late[-1, 1] = np.nan  # past the first chunk of the finiteness check
         np.save(path, late)
         with pytest.raises(InputError, match="non-finite"):
+            load_matrix(path)
+
+    def test_big_endian_rejected(self, tmp_path):
+        path = tmp_path / "big.npy"
+        np.save(path, np.ones((2, 2), dtype=">f8"))
+        with pytest.raises(FormatError, match="big.npy: unsupported descr '>f8'"):
+            load_matrix(path)
+
+    def test_negative_dimension_rejected(self, tmp_path):
+        path = self._with_header(
+            tmp_path, "{'descr': '<f8', 'fortran_order': False, 'shape': (-1, 2), }"
+        )
+        with pytest.raises(FormatError, match=r"crafted.npy: shape \(-1, 2\)"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("header_body", [
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2, }",
+        "{'descr': '<f8', 'fortran_order': False, b'shape': (2, 2), }",
+        "{'descr': ',<f8', 'fortran_order': False, 'shape': (2, 2), }",
+        "  {'descr': '<f8'}\n {}",
+    ], ids=["unclosed", "bytes-key", "comma-descr", "bad-indent"])
+    def test_malformed_header_names_the_file(self, tmp_path, header_body):
+        path = self._with_header(tmp_path, header_body, payload=b"\x00" * 32)
+        with pytest.raises(FormatError, match="crafted.npy: "):
             load_matrix(path)
 
     def test_header_with_extra_keys_rejected(self, tmp_path):
@@ -268,6 +307,16 @@ class TestBundleRoundTrip:
         v[0, 0] = np.nan
         mio._write_npy(bundle / "v_0.npy", v, "<f8")
         with pytest.raises(FormatError, match="orthonormal"):
+            load_bundle(bundle)
+
+    def test_bad_basis_names_the_file(self, tmp_path):
+        _, clus, fact = make_factorization(seed=8)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        v = np.load(bundle / "v_1.npy")
+        v[0, 0] = np.nan
+        mio._write_npy(bundle / "v_1.npy", v, "<f8")
+        with pytest.raises(FormatError, match="v_1.npy: .*orthonormal"):
             load_bundle(bundle)
 
     @pytest.mark.parametrize("tamper", [

@@ -3,19 +3,23 @@
 perfbench's tracer replaces every function in `tracing.WRAPPED` by
 `getattr(module, attr)`, so a removed or renamed name fails every traced
 benchmark run; `messi.__all__` promises the package's public names. The CLI
-imports no `_`-prefixed name from the package.
+imports no `_`-prefixed name from the package, and the package imports
+nothing but numpy, click and the standard library.
 """
 
 import ast
+import glob
 import importlib
 import importlib.util
 import os
+import sys
 
 import messi
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
-CLI = os.path.join(ROOT, "src", "messi", "cli.py")
+PACKAGE = os.path.join(ROOT, "src", "messi")
+CLI = os.path.join(PACKAGE, "cli.py")
 
 
 def test_traced_names_resolve():
@@ -42,3 +46,19 @@ def test_cli_imports_no_private_names():
                and (node.level > 0 or (node.module or "").split(".")[0] == "messi")
                for alias in node.names if alias.name.startswith("_")]
     assert not private
+
+
+def test_package_imports_only_numpy_click_and_stdlib():
+    """The dependency rule: every module imports numpy, click, the standard library or messi."""
+    allowed = {"numpy", "click", "messi"} | set(sys.stdlib_module_names)
+    imported = set()
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"numpy", "click"} <= imported
+    assert imported <= allowed, sorted(imported - allowed)
