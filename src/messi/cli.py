@@ -174,7 +174,7 @@ def evaluate(obj, input_path, bundle_dir, report_path):
             k=fact.k, dims=fact.dims, params=fact.param_count(),
             compression_rate=fact.compression_rate(),
             frobenius_error=absolute, relative_error=relative,
-            iterations=meta["iterations"], converged=meta.get("converged", True),
+            iterations=meta["iterations"], converged=meta["converged"],
             seed=meta["seed"],
         )
         bundle_io.write_report([row], report_path)

@@ -11,8 +11,9 @@ big-endian data, newer versions, column-major data) is rejected with a
 FormatError naming the file, so files exported from any deep-learning
 stack either load exactly or fail loudly.
 
-A factorization bundle is a directory holding meta.json, assignment.npy and
-per-cluster u_i.npy / v_i.npy files; save writes to a temporary sibling and
+A factorization bundle is a directory holding meta.json (its keys and their
+checks are _META_SCHEMA), assignment.npy and per-cluster u_i.npy / v_i.npy
+files; save writes to a temporary sibling and
 renames, so failures never leave a partial bundle behind. Save replaces only
 an empty directory or a previous bundle, never other data. Array bodies are
 written from and read into the arrays' own buffers, without a copy.
@@ -37,7 +38,6 @@ from .errors import FormatError, InputError, MessiError
 from .factorization import MessiFactorization, _block_views, _NotOrthonormal
 from .linalg import _all_finite
 
-_META_KEYS = ("format_version", "n", "d", "k", "dims", "q", "seed", "cost", "iterations")
 _BUNDLE_FORMAT_VERSION = 1
 
 
@@ -143,6 +143,53 @@ def _atomic_write_text(path, text: str) -> None:
 
 # ---------------------------------------------------------------- bundles
 
+def _is_int(value, low: int) -> bool:
+    # JSON true/false load as bool, which is an int subclass in Python.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+# meta.json's schema: its ten keys, all required, in check order (dims after
+# k, since dims needs k), each with a test of (value, whole meta) and what
+# the value must be.
+_META_SCHEMA = (
+    ("format_version", lambda v, m: _is_int(v, 1) and v == _BUNDLE_FORMAT_VERSION,
+     f"be {_BUNDLE_FORMAT_VERSION}"),
+    ("n", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
+    ("d", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
+    ("k", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
+    ("dims", lambda v, m: isinstance(v, list) and len(v) == m["k"]
+     and all(_is_int(j, 0) for j in v), "be a list of k nonnegative integers"),
+    ("q", lambda v, m: v == 2.0, "be 2.0 (squared distances)"),
+    ("seed", lambda v, m: _is_int(v, 0), "be an integer >= 0"),
+    ("cost", lambda v, m: type(v) is int or type(v) is float and math.isfinite(v),
+     "be a finite number"),
+    ("iterations", lambda v, m: _is_int(v, 0), "be an integer >= 0"),
+    ("converged", lambda v, m: isinstance(v, bool), "be true or false"),
+)
+_META_FILE = "meta.json"
+_ASSIGNMENT_FILE = "assignment.npy"
+
+
+def _block_files(k: int) -> list[tuple[str, str]]:
+    """The (u, v) file names of a k-cluster bundle's blocks, in cluster order."""
+    return [(f"u_{c}.npy", f"v_{c}.npy") for c in range(k)]
+
+
+def _check_meta(meta, path: str) -> None:
+    """Raise FormatError naming path unless meta has exactly the schema's keys, each valid."""
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: meta must be a JSON object")
+    known = [key for key, _, _ in _META_SCHEMA]
+    for key in meta:
+        if key not in known:
+            raise FormatError(f"{path}: meta has unknown key {key!r}")
+    for key, valid, what in _META_SCHEMA:
+        if key not in meta:
+            raise FormatError(f"{path}: meta is missing key {key!r}")
+        if not valid(meta[key], meta):
+            raise FormatError(f"{path}: {key} must {what}, got {meta[key]!r}")
+
+
 def save_bundle(
     f: MessiFactorization,
     directory,
@@ -154,39 +201,31 @@ def save_bundle(
 ) -> None:
     """Serialize a factorization (plus clustering provenance) to a directory.
 
-    The whole bundle is staged in a temporary sibling directory and renamed
-    into place. An existing path must be an empty directory or a previous
-    bundle (a directory holding meta.json), else FormatError is raised and
-    the path is left as it was. A previous bundle is moved aside, the new
-    one renamed in, and only then is the old one deleted. A non-finite cost
-    raises FormatError, since load_bundle_meta would reject it.
+    Before anything is written, the meta is checked against the schema that
+    load_bundle_meta applies, so a bad value (a negative seed, a non-finite
+    cost) raises FormatError. The whole bundle is staged in a temporary
+    sibling directory and renamed into place. An existing path must be an
+    empty directory or a previous bundle (see check_bundle_target), else
+    FormatError is raised and the path is left as it was. A previous bundle
+    is moved aside, the new one renamed in, and only then is the old one
+    deleted.
     """
-    if not math.isfinite(cost):
-        raise FormatError(f"cost must be a finite number, got {cost!r}")
     directory = os.fspath(directory)
+    meta = dict(format_version=_BUNDLE_FORMAT_VERSION, n=f.n, d=f.d, k=f.k, dims=list(f.dims),
+                q=2.0, seed=int(seed), cost=float(cost), iterations=int(iterations),
+                converged=bool(converged))
+    _check_meta(meta, os.path.join(directory, _META_FILE))
     parent = os.path.dirname(os.path.abspath(directory)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(dir=parent, prefix=".bundle-")
     try:
-        meta = {
-            "format_version": _BUNDLE_FORMAT_VERSION,
-            "n": f.n,
-            "d": f.d,
-            "k": f.k,
-            "dims": list(f.dims),
-            "q": 2.0,
-            "seed": int(seed),
-            "cost": float(cost),
-            "iterations": int(iterations),
-            "converged": bool(converged),
-        }
-        with open(os.path.join(tmp, "meta.json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(tmp, _META_FILE), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        save_index_vector(f.assignment, os.path.join(tmp, "assignment.npy"))
-        for c, b in enumerate(f.blocks):
-            _write_npy(os.path.join(tmp, f"u_{c}.npy"), b.u, "<f8")
-            _write_npy(os.path.join(tmp, f"v_{c}.npy"), b.v, "<f8")
+        save_index_vector(f.assignment, os.path.join(tmp, _ASSIGNMENT_FILE))
+        for b, (u_file, v_file) in zip(f.blocks, _block_files(f.k)):
+            _write_npy(os.path.join(tmp, u_file), b.u, "<f8")
+            _write_npy(os.path.join(tmp, v_file), b.v, "<f8")
         if check_bundle_target(directory):
             old = tempfile.mkdtemp(dir=parent, prefix=".bundle-old-")
             os.replace(directory, old)
@@ -206,67 +245,49 @@ def save_bundle(
 def check_bundle_target(directory) -> bool:
     """Whether save_bundle may write a bundle at directory, and what it replaces.
 
-    True for a previous bundle (a directory holding meta.json), False for an
-    absent path or an empty directory. Anything else is not save_bundle's to
-    replace and raises FormatError, so a caller can check before any work.
+    True for a previous bundle: a directory whose meta.json passes
+    load_bundle_meta and whose entries are exactly meta.json, assignment.npy
+    and u_c.npy / v_c.npy for each c < k. False for an absent path or an
+    empty directory. Anything else, a corrupt bundle included, is not
+    save_bundle's to replace and raises FormatError, so a caller can check
+    before any work.
     """
     if not os.path.lexists(directory):
         return False
     if not os.path.isdir(directory):
         raise FormatError(f"{directory} exists and is not a directory; refusing to replace it")
-    if not os.listdir(directory):
+    entries = set(os.listdir(directory))
+    if not entries:
         return False
-    if not os.path.isfile(os.path.join(directory, "meta.json")):
+    if _META_FILE not in entries:
         raise FormatError(
             f"{directory} is a non-empty directory without meta.json, not a bundle; "
             "refusing to replace it"
         )
+    try:
+        k = load_bundle_meta(directory)["k"]
+    except FormatError as e:
+        raise FormatError(f"{directory} is not a bundle ({e}); refusing to replace it") from e
+    names = {_META_FILE, _ASSIGNMENT_FILE, *(name for pair in _block_files(k) for name in pair)}
+    if entries != names:
+        odd = ", ".join(sorted(entries ^ names))
+        raise FormatError(f"{directory} is not a bundle: its files differ from a {k}-cluster "
+                          f"bundle's in {odd}; refusing to replace it")
     return True
 
 
 def load_bundle_meta(directory) -> dict:
-    """Read and structurally validate a bundle's meta.json."""
-    path = os.path.join(os.fspath(directory), "meta.json")
+    """Read a bundle's meta.json and check it against the schema save_bundle writes."""
+    path = os.path.join(os.fspath(directory), _META_FILE)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except OSError as e:
         raise FormatError(f"cannot read bundle meta {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: meta must be a JSON object")
-    for key in _META_KEYS:
-        if key not in meta:
-            raise FormatError(f"{path}: meta is missing key {key!r}")
-    if meta["format_version"] != _BUNDLE_FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported format_version {meta['format_version']!r}"
-        )
-    _check_meta_values(meta, path)
+    _check_meta(meta, path)
     return meta
-
-
-def _is_int(value, low: int) -> bool:
-    # JSON true/false load as bool, which is an int subclass in Python.
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
-def _check_meta_values(meta: dict, path: str) -> None:
-    """Reject meta fields of the wrong type or range, naming the field."""
-    for key, low in (("n", 1), ("d", 1), ("k", 1), ("seed", 0), ("iterations", 0)):
-        if not _is_int(meta[key], low):
-            raise FormatError(f"{path}: {key} must be an integer >= {low}, got {meta[key]!r}")
-    dims = meta["dims"]
-    if not isinstance(dims, list) or len(dims) != meta["k"] or not all(_is_int(j, 0) for j in dims):
-        raise FormatError(f"{path}: dims must be a list of {meta['k']} nonnegative integers")
-    cost = meta["cost"]
-    if isinstance(cost, bool) or not isinstance(cost, (int, float)) or not math.isfinite(cost):
-        raise FormatError(f"{path}: cost must be a finite number, got {cost!r}")
-    if meta["q"] != 2.0:
-        raise FormatError(f"{path}: q must be 2.0 (squared distances), got {meta['q']!r}")
-    if not isinstance(meta.get("converged", True), bool):
-        raise FormatError(f"{path}: converged must be true or false, got {meta['converged']!r}")
 
 
 def load_bundle(directory) -> MessiFactorization:
@@ -280,7 +301,7 @@ def load_bundle(directory) -> MessiFactorization:
     directory = os.fspath(directory)
     meta = load_bundle_meta(directory)
     n, d, k, dims = meta["n"], meta["d"], meta["k"], meta["dims"]
-    path = os.path.join(directory, "assignment.npy")
+    path = os.path.join(directory, _ASSIGNMENT_FILE)
     assignment = load_index_vector(path)
     try:
         assignment = _check_assignment(assignment, n, k)
@@ -290,15 +311,18 @@ def load_bundle(directory) -> MessiFactorization:
     try:  # before any array header is read, a corrupted meta can imply absurd sizes
         values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
     except (MemoryError, OverflowError, ValueError) as e:
-        raise FormatError(f"{directory}: meta implies arrays too large to allocate: {e}") from e
-    for c, (u, v) in enumerate(_block_views(values, v_stacked, sizes, dims)):
-        _read_npy(os.path.join(directory, f"u_{c}.npy"), ("<f8",), 2, out=u)
-        _read_npy(os.path.join(directory, f"v_{c}.npy"), ("<f8",), 2, out=v)
+        raise FormatError(
+            f"{os.path.join(directory, _META_FILE)}: meta implies arrays too large to allocate: {e}"
+        ) from e
+    files = _block_files(k)
+    for (u, v), (u_file, v_file) in zip(_block_views(values, v_stacked, sizes, dims), files):
+        _read_npy(os.path.join(directory, u_file), ("<f8",), 2, out=u)
+        _read_npy(os.path.join(directory, v_file), ("<f8",), 2, out=v)
     try:
         return MessiFactorization(n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
                                   values=values, v_stacked=v_stacked)
     except _NotOrthonormal as e:
-        raise FormatError(f"{os.path.join(directory, f'v_{e.block}.npy')}: {e}") from e
+        raise FormatError(f"{os.path.join(directory, files[e.block][1])}: {e}") from e
 
 
 # ---------------------------------------------------------------- reports

@@ -438,3 +438,16 @@ class TestInspect:
         result = invoke(runner, ["inspect", "--bundle", str(tmp_path / "b")])
         assert result.exit_code == 1
         assert "v_1" in result.output or "shape" in result.output
+
+    def test_non_utf8_meta_exit_1(self, runner, tmp_path):
+        write_planted(tmp_path / "a.npy")
+        invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "2", "--j", "3", "--output", str(tmp_path / "b"),
+        ])
+        meta = bytearray((tmp_path / "b" / "meta.json").read_bytes())
+        meta[5] ^= 0x80
+        (tmp_path / "b" / "meta.json").write_bytes(bytes(meta))
+        result = invoke(runner, ["inspect", "--bundle", str(tmp_path / "b")])
+        assert result.exit_code == 1
+        assert "Error:" in result.output and "meta.json" in result.output

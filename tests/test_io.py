@@ -266,6 +266,23 @@ class TestBundleRoundTrip:
         assert (tmp_path / "file").read_text() == "keep me too"
         assert [p for p in os.listdir(tmp_path) if p.startswith(".bundle-")] == []
 
+    @pytest.mark.parametrize("case", ["foreign-meta", "stray-file"])
+    def test_never_replaces_lookalike_bundle(self, tmp_path, case):
+        _, clus, fact = make_factorization(seed=12)
+        target = tmp_path / "out"
+        if case == "foreign-meta":
+            target.mkdir()
+            (target / "meta.json").write_text('{"name": "x"}')
+            (target / "results.txt").write_text("keep me")
+        else:
+            save_bundle(fact, target, cost=clus.cost)
+            (target / "notes.txt").write_text("keep me")
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        with pytest.raises(FormatError, match="not a bundle.*refusing to replace it"):
+            save_bundle(fact, target, cost=clus.cost, seed=99)
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == ["out"]
+
     def test_check_bundle_target(self, tmp_path):
         _, clus, fact = make_factorization(seed=14)
         assert mio.check_bundle_target(tmp_path / "absent") is False
@@ -358,6 +375,16 @@ class TestBundleRoundTrip:
         with pytest.raises(FormatError, match="too large to allocate"):
             load_bundle(bundle)
 
+    def test_huge_arrays_error_names_meta(self, tmp_path):
+        _, clus, fact = make_factorization(seed=16)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        meta = json.loads((bundle / "meta.json").read_text())
+        meta["d"] = 10**13
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="meta.json: meta implies arrays too large"):
+            load_bundle(bundle)
+
     def test_missing_array_file(self, tmp_path):
         _, clus, fact = make_factorization(seed=11)
         bundle = tmp_path / "b"
@@ -380,7 +407,7 @@ class TestBundleRoundTrip:
         ("n", 12.0), ("n", 0), ("d", 5.0), ("k", True), ("dims", [True, 2]), ("dims", [-1, 2]),
         ("seed", -1), ("seed", "5"), ("iterations", 1.5), ("iterations", False),
         ("cost", "abc"), ("cost", None), ("cost", float("inf")), ("q", 1.0), ("q", "2.0"),
-        ("converged", "no"), ("converged", 1),
+        ("converged", "no"), ("converged", 1), ("format_version", True), ("format_version", 1.0),
     ])
     def test_meta_value_corruption_rejected(self, tmp_path, key, value):
         _, clus, fact = make_factorization(seed=12)
@@ -395,6 +422,73 @@ class TestBundleRoundTrip:
                                     catch_exceptions=False)
         assert result.exit_code == 1
         assert "Error:" in result.output
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda meta: meta.pop("converged"), "meta is missing key 'converged'"),
+        (lambda meta: meta.update(bonverged=meta.pop("converged")),
+         "meta has unknown key 'bonverged'"),
+        (lambda meta: meta.update(note="x"), "meta has unknown key 'note'"),
+    ], ids=["missing-converged", "renamed-converged", "extra-key"])
+    def test_meta_key_set_is_exact(self, tmp_path, edit, match):
+        _, clus, fact = make_factorization(seed=12)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        meta = json.loads((bundle / "meta.json").read_text())
+        edit(meta)
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=f"meta.json: {match}"):
+            load_bundle(bundle)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"seed": -1}, "seed must"), ({"iterations": -1}, "iterations must"),
+    ], ids=["seed", "iterations"])
+    def test_invalid_meta_not_saved(self, tmp_path, kwargs, match):
+        _, clus, fact = make_factorization(seed=13)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost, seed=5)
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        with pytest.raises(FormatError, match=match):
+            save_bundle(fact, bundle, cost=clus.cost, **kwargs)
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+        assert os.listdir(tmp_path) == ["b"]
+
+    def test_every_bit_flip_fails_loudly_or_loads(self, tmp_path):
+        """Flip bits 0x01 and 0x80 of every byte of every file of a bundle, in place.
+
+        Each flip raises a FormatError naming a file of the bundle, or loads; a
+        loading meta.json has exactly the written keys. Digit flips of cost,
+        seed and iterations still load: nothing records their values twice.
+        """
+        rng = np.random.default_rng(0)
+        pts = rng.standard_normal((40, 6))
+        clus = em_multi_restart(pts, 3, 2, EmOptions(restarts=4, seed=0))
+        bundle = tmp_path / "b"
+        save_bundle(build_factorization(pts, clus), bundle, cost=clus.cost,
+                    iterations=clus.iterations, converged=clus.converged)
+        keys = set(load_bundle_meta(bundle))
+        paths = sorted(bundle.iterdir())
+        names = [str(p) for p in paths]
+        loaded = {}
+        for path in paths:
+            data = path.read_bytes()
+            with open(path, "r+b") as fh:
+                for i in range(len(data)):
+                    for mask in (0x01, 0x80):
+                        fh.seek(i)
+                        fh.write(bytes([data[i] ^ mask]))
+                        fh.flush()
+                        try:
+                            load_bundle(bundle)
+                        except FormatError as e:
+                            assert any(name in str(e) for name in names), str(e)
+                        else:
+                            loaded[path.name] = loaded.get(path.name, 0) + 1
+                            if path.name == "meta.json":
+                                assert set(load_bundle_meta(bundle)) == keys
+                    fh.seek(i)
+                    fh.write(data[i:i + 1])
+                    fh.flush()
+        assert 0 < loaded["meta.json"] < 28  # 28 loaded while unknown keys were ignored
 
     def test_nonfinite_cost_not_saved(self, tmp_path):
         _, _, fact = make_factorization(seed=13)
