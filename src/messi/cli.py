@@ -170,12 +170,9 @@ def evaluate(obj, input_path, bundle_dir, report_path):
             f"{meta['cost']:.17g} (relative gap {gap:.3e})"
         )
     if report_path is not None:
-        row = bundle_io.ReportRow(
-            k=fact.k, dims=fact.dims, params=fact.param_count(),
-            compression_rate=fact.compression_rate(),
-            frobenius_error=absolute, relative_error=relative,
-            iterations=meta["iterations"], converged=meta["converged"],
-            seed=meta["seed"],
+        row = bundle_io.ReportRow.from_factorization(
+            fact, absolute, relative, iterations=meta["iterations"],
+            converged=meta["converged"], seed=meta["seed"],
         )
         bundle_io.write_report([row], report_path)
 

@@ -155,17 +155,9 @@ def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepRepor
             progress(f"clustering k={k} j={j} (budget {budget})")
         clustering = em_multi_restart(a, k, j, opts, threads=threads)
         fact = build_factorization(a, clustering, threads=threads)
-        absolute, relative = frobenius_error(a, reconstruct(fact))
-        return ReportRow(
-            k=k,
-            dims=fact.dims,
-            params=fact.param_count(),
-            compression_rate=fact.compression_rate(),
-            frobenius_error=absolute,
-            relative_error=relative,
-            iterations=clustering.iterations,
-            converged=clustering.converged,
-            seed=opts.seed,
+        return ReportRow.from_factorization(
+            fact, *frobenius_error(a, reconstruct(fact)), iterations=clustering.iterations,
+            converged=clustering.converged, seed=opts.seed,
         )
 
     return [cell(k, budget) for k in sorted(set(spec.k_list)) for budget in budgets]

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import shutil
 import tempfile
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from io import BytesIO
 from tokenize import TokenError
 
@@ -137,10 +138,6 @@ def _atomic_write_bytes(path, *parts) -> None:
         raise
 
 
-def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 # ---------------------------------------------------------------- bundles
 
 def _is_int(value, low: int) -> bool:
@@ -203,10 +200,11 @@ def save_bundle(
 
     Before anything is written, the meta is checked against the schema that
     load_bundle_meta applies, so a bad value (a negative seed, a non-finite
-    cost) raises FormatError. The whole bundle is staged in a temporary
-    sibling directory and renamed into place. An existing path must be an
-    empty directory or a previous bundle (see check_bundle_target), else
-    FormatError is raised and the path is left as it was. A previous bundle
+    cost) raises FormatError. An existing path must be an empty directory
+    or a previous bundle (see check_bundle_target), else FormatError is
+    raised, before anything is written, and the path is left as it was. The
+    whole bundle is staged in a temporary sibling directory, the path is
+    checked again, and the bundle is renamed into place. A previous bundle
     is moved aside, the new one renamed in, and only then is the old one
     deleted.
     """
@@ -215,6 +213,7 @@ def save_bundle(
                 q=2.0, seed=int(seed), cost=float(cost), iterations=int(iterations),
                 converged=bool(converged))
     _check_meta(meta, os.path.join(directory, _META_FILE))
+    check_bundle_target(directory)
     parent = os.path.dirname(os.path.abspath(directory)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(dir=parent, prefix=".bundle-")
@@ -226,7 +225,7 @@ def save_bundle(
         for b, (u_file, v_file) in zip(f.blocks, _block_files(f.k)):
             _write_npy(os.path.join(tmp, u_file), b.u, "<f8")
             _write_npy(os.path.join(tmp, v_file), b.v, "<f8")
-        if check_bundle_target(directory):
+        if check_bundle_target(directory):  # again, as the path may have changed meanwhile
             old = tempfile.mkdtemp(dir=parent, prefix=".bundle-old-")
             os.replace(directory, old)
             try:
@@ -277,11 +276,23 @@ def check_bundle_target(directory) -> bool:
 
 
 def load_bundle_meta(directory) -> dict:
-    """Read a bundle's meta.json and check it against the schema save_bundle writes."""
+    """Read a bundle's meta.json and check it against the schema save_bundle writes.
+
+    A key given twice raises FormatError.
+    """
     path = os.path.join(os.fspath(directory), _META_FILE)
+
+    def unique_keys(pairs):  # json.load would keep the last of two equal keys
+        meta = {}
+        for key, value in pairs:
+            if key in meta:
+                raise FormatError(f"{path}: meta has duplicate key {key!r}")
+            meta[key] = value
+        return meta
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            meta = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as e:
         raise FormatError(f"cannot read bundle meta {path}: {e}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -344,62 +355,65 @@ class ReportRow:
     converged: bool
     seed: int
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ";".join(str(int(j)) for j in value)
-    return str(value)
+    @classmethod
+    def from_factorization(cls, f: MessiFactorization, frobenius_error: float,
+                           relative_error: float, *, iterations: int, converged: bool,
+                           seed: int) -> ReportRow:
+        """The row of a factorization, given its absolute and relative error."""
+        return cls(k=f.k, dims=f.dims, params=f.param_count(),
+                   compression_rate=f.compression_rate(), frobenius_error=frobenius_error,
+                   relative_error=relative_error, iterations=iterations,
+                   converged=converged, seed=seed)
 
 
-REPORT_HEADER = ",".join(f.name for f in fields(ReportRow))
+def _or_empty(render, parse):
+    """The (render, parse) pair of a column whose None value is the empty string."""
+    return (lambda v: "" if v is None else render(v)), (lambda text: parse(text) if text else None)
 
 
-def _optional(read):
-    """The reader of a field whose None value renders as the empty string."""
-    return lambda text: read(text) if text else None
+# Integers render through operator.index, so numpy integers pass and floats raise.
+_INT = (lambda v: str(operator.index(v)), int)
+_FLOAT = (lambda v: format(float(v), ".17g"), float)  # 17 digits round-trip a double
 
-
-# How parse_report reads each ReportRow field back from its CSV text.
-_READERS = {
-    "k": int,
-    "dims": _optional(lambda text: tuple(int(j) for j in text.split(";"))),
-    "params": _optional(int),
-    "compression_rate": _optional(float),
-    "frobenius_error": _optional(float),
-    "relative_error": _optional(float),
-    "iterations": int,
-    "converged": lambda text: text == "true",
-    "seed": int,
+# Each ReportRow field, in field order, with the (render, parse) pair of its CSV text.
+_COLUMNS = {
+    "k": _INT,
+    "dims": _or_empty(lambda v: ";".join(str(operator.index(j)) for j in v),
+                      lambda text: tuple(int(j) for j in text.split(";"))),
+    "params": _or_empty(*_INT),
+    "compression_rate": _or_empty(*_FLOAT),
+    "frobenius_error": _or_empty(*_FLOAT),
+    "relative_error": _or_empty(*_FLOAT),
+    "iterations": _INT,
+    "converged": (lambda v: "true" if v else "false", lambda text: text == "true"),
+    "seed": _INT,
 }
+REPORT_HEADER = ",".join(_COLUMNS)
 
 
 def render_report(rows) -> str:
-    """The CSV text for a sequence of ReportRow (17 significant digits)."""
-    lines = [REPORT_HEADER] + [",".join(_fmt(v) for v in astuple(r)) for r in rows]
+    """The CSV text for a sequence of ReportRow; parse_report reads every row back equal."""
+    lines = [REPORT_HEADER] + [
+        ",".join(render(getattr(r, name)) for name, (render, _) in _COLUMNS.items()) for r in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
 def write_report(rows, path) -> None:
-    """Write the report CSV; floats round-trip exactly at 17 significant digits."""
-    _atomic_write_text(path, render_report(rows))
+    """Write the report CSV atomically."""
+    _atomic_write_bytes(path, render_report(rows).encode("utf-8"))
 
 
 def parse_report(text: str) -> list[ReportRow]:
     """Parse CSV text produced by render_report back into rows."""
     lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != REPORT_HEADER:
+    if lines[0] != REPORT_HEADER:
         raise FormatError("report header does not match the expected schema")
-    names = [f.name for f in fields(ReportRow)]
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(names):
-            raise FormatError(f"report row has {len(parts)} fields, expected {len(names)}")
-        rows.append(ReportRow(**{name: _READERS[name](part) for name, part in zip(names, parts)}))
+        if len(parts) != len(_COLUMNS):
+            raise FormatError(f"report row has {len(parts)} fields, expected {len(_COLUMNS)}")
+        rows.append(ReportRow(**{name: parse(part)
+                                 for (name, (_, parse)), part in zip(_COLUMNS.items(), parts)}))
     return rows

@@ -236,6 +236,7 @@ class TestCompress:
     ["compress", "--k", "2", "--j", "3", "--tol", "nan"],
     ["sweep", "--k-list", "1", "--budget-list", "120", "--restarts", "0"],
     ["sweep", "--k-list", "0,2", "--budget-list", "120"],
+    ["sweep", "--k-list", "2,x", "--budget-list", "120"],
     ["sweep", "--k-list", "2", "--budget-list", "0"],
     ["sweep", "--k-list", "2", "--budget-list", "-5"],
     ["sweep", "--k-list", "2", "--rate-list", "1.5"],
@@ -252,6 +253,43 @@ def test_out_of_range_option_exit_2(runner, tmp_path, monkeypatch, args):
     assert result.exit_code == 2
     assert "clustering" not in result.output
     assert not (tmp_path / "x").exists()
+
+
+def test_zero_threads_exit_2(runner, tmp_path):
+    result = invoke(runner, ["--threads", "0", "synth", "--output", str(tmp_path / "a.npy")])
+    assert result.exit_code == 2
+    assert "--threads must be >= 1" in result.output
+    assert not (tmp_path / "a.npy").exists()
+
+
+def test_progress_goes_to_stderr_only(runner, tmp_path):
+    """Without --quiet, compress and sweep report progress on stderr; stdout and files
+    are those of a --quiet run."""
+    write_planted(tmp_path / "a.npy")
+    commands = {
+        "compress": ["compress", "--input", str(tmp_path / "a.npy"), "--k", "2", "--j", "3",
+                     "--restarts", "2", "--dims-auto", "--output"],
+        "sweep": ["sweep", "--input", str(tmp_path / "a.npy"), "--k-list", "2",
+                  "--budget-list", "10,120", "--restarts", "2", "--output"],
+    }
+    expected = {
+        "compress": ["clustering 20x10 matrix with k=2, j=3, 2 restarts", "reallocated dims: ["],
+        "sweep": ["skipping infeasible cell k=1 budget=10", "clustering k=1 j=4 (budget 120)",
+                  "skipping infeasible cell k=2 budget=10", "clustering k=2 j=3 (budget 120)",
+                  "wrote 4 rows to "],
+    }
+    for name, args in commands.items():
+        quiet = invoke(runner, ["--quiet", *args, str(tmp_path / f"{name}-quiet")])
+        loud = invoke(runner, [*args, str(tmp_path / f"{name}-loud")])
+        assert quiet.exit_code == loud.exit_code == 0
+        assert loud.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        lines = loud.stderr.splitlines()
+        assert len(lines) == len(expected[name])
+        for line, start in zip(lines, expected[name]):
+            assert line.startswith(start), (line, start)
+    assert (tmp_path / "sweep-loud").read_bytes() == (tmp_path / "sweep-quiet").read_bytes()
+    assert bundle_bytes(tmp_path / "compress-loud") == bundle_bytes(tmp_path / "compress-quiet")
 
 
 class TestEvaluate:
@@ -294,6 +332,24 @@ class TestEvaluate:
             "evaluate", "--input", str(tmp_path / "other.npy"), "--bundle", str(tmp_path / "b"),
         ])
         assert result.exit_code == 1
+
+    def test_wrong_stored_cost_exit_1(self, runner, tmp_path):
+        write_planted(tmp_path / "a.npy")
+        invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "2", "--j", "3", "--output", str(tmp_path / "b"),
+        ])
+        meta = json.loads((tmp_path / "b" / "meta.json").read_text())
+        meta["cost"] = 2.0 * meta["cost"] + 1.0
+        (tmp_path / "b" / "meta.json").write_text(json.dumps(meta))
+        result = invoke(runner, [
+            "evaluate", "--input", str(tmp_path / "a.npy"), "--bundle", str(tmp_path / "b"),
+            "--report", str(tmp_path / "r.csv"),
+        ])
+        assert result.exit_code == 1
+        assert stdout_value(result.stdout, "residual_identity") == "mismatch"
+        assert "disagrees with stored cost" in result.stderr
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestSweep:

@@ -175,6 +175,15 @@ class TestRefitStep:
         with pytest.raises(ParameterError):
             refit_step(np.eye(3), [0, 1, 0], 2, [1])
 
+    def test_cluster_left_without_rows_gets_canonical_axes(self):
+        pts = np.random.default_rng(44).standard_normal((4, 3))
+        start = np.zeros(4, dtype=int)  # the heals of clusters 1 and 2 take all 4 rows
+        subs = refit_step(pts, start, 4, 2)
+        np.testing.assert_array_equal(subs[3].basis, np.eye(3)[:2])
+        result = em_run(pts, 4, 2, EmOptions(seed=1), initial_assignment=start)
+        want = clustering_cost(pts, result.assignment, result.subspaces)
+        assert result.cost == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_per_cluster_dims_match_private_refit(self):
         rng = np.random.default_rng(39)
         pts = rng.standard_normal((30, 6))
@@ -666,3 +675,14 @@ class TestEmOptions:
             EmOptions(init="kmeans++")
         with pytest.raises(ParameterError):
             EmOptions(seed=-1)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: messi.cluster.Clustering(k=0, assignment=[], subspaces=(), cost=0.0,
+                                      iterations=0, converged=True), "k must be >= 1"),
+    (lambda: clustering_cost(np.eye(2), [0, 0], []), "need at least one subspace"),
+    (lambda: refit_step(np.eye(2), [0, 0], 0, 1), "k must be >= 1"),
+], ids=["clustering-k0", "cost-no-subspaces", "refit-k0"])
+def test_rejects_zero_clusters(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()

@@ -190,3 +190,12 @@ class TestResidualIdentity:
         assert row.frobenius_error**2 == pytest.approx(clus.cost, rel=1e-9)
         recon = reconstruct(build_factorization(a, clus))
         assert row.frobenius_error == pytest.approx(float(np.linalg.norm(a - recon)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"k_true": 0}, "k_true must be >= 1, got 0"),
+    ({"spread": 0.0}, "spread must be > 0, got 0.0"),
+], ids=["k_true", "spread"])
+def test_synth_spec_rejects(kwargs, match):
+    with pytest.raises(ParameterError, match=match):
+        SynthSpec(**{"n": 10, "d": 3, "k_true": 2, "j_true": 1, **kwargs})

@@ -520,3 +520,21 @@ class TestEqualBudgetJ:
     def test_budget_too_small(self):
         with pytest.raises(ParameterError):
             equal_budget_j(20, 10, 2, 39)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: MessiFactorization(n=0, d=2, k=1, dims=(1,), assignment=[], values=[],
+                                v_stacked=np.eye(2)[:1]), "needs n >= 1"),
+    (lambda: MessiFactorization(n=2, d=2, k=2, dims=(1, -1), assignment=[0, 0],
+                                values=[1.0, 1.0], v_stacked=np.eye(2)[:1]),
+     r"expected 2 nonnegative dims, got \(1, -1\)"),
+    (lambda: param_count(20, 10, 2, [3]), "expected 2 dims, got 1"),
+    (lambda: param_count(20, 10, 2, [3, -1]), "dims must be nonnegative"),
+    (lambda: param_count(20, 10, 2, [3, 3], cluster_sizes=[20]), "expected 2 cluster sizes"),
+    (lambda: param_count(20, 10, 2, [3, 3], cluster_sizes=[10, 9]), "sum to 19, expected n=20"),
+    (lambda: svd_baseline_params(20, 10, -1), "rank must be nonnegative"),
+], ids=["n0", "negative-dim", "dims-count", "dims-negative", "sizes-count", "sizes-sum",
+        "svd-rank"])
+def test_rejects_invalid_shapes_and_counts(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()

@@ -514,6 +514,37 @@ class TestBundleRoundTrip:
         assert not bundle.exists()
         assert [p for p in os.listdir(tmp_path) if p.startswith(".bundle-")] == []
 
+    def test_refused_save_writes_nothing(self, tmp_path, monkeypatch):
+        _, clus, fact = make_factorization(seed=10)
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "notes.txt").write_text("keep me")
+        calls = {"n": 0}
+        real = mio._write_npy
+
+        def counting(path, arr, descr):
+            calls["n"] += 1
+            real(path, arr, descr)
+
+        monkeypatch.setattr(mio, "_write_npy", counting)
+        with pytest.raises(FormatError, match="without meta.json"):
+            save_bundle(fact, target, cost=clus.cost)
+        assert calls["n"] == 0
+        assert sorted(os.listdir(tmp_path)) == ["out"]
+        assert os.listdir(target) == ["notes.txt"]
+
+    def test_duplicate_meta_key_rejected(self, tmp_path):
+        _, clus, fact = make_factorization(seed=12)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost, seed=3)
+        text = (bundle / "meta.json").read_text()
+        assert text.count('"seed": 3') == 1
+        (bundle / "meta.json").write_text(text.replace('"seed": 3', '"seed": 3,\n  "seed": 4'))
+        match = "meta.json: meta has duplicate key 'seed'"
+        for call in (load_bundle_meta, load_bundle, mio.check_bundle_target):
+            with pytest.raises(FormatError, match=match):
+                call(bundle)
+
 
 class TestReports:
     def rows(self):
@@ -551,3 +582,14 @@ class TestReports:
     def test_bad_header_rejected(self):
         with pytest.raises(FormatError):
             parse_report("a,b,c\n1,2,3\n")
+
+    def test_numpy_scalars_and_list_dims_parse_back_equal(self):
+        row = ReportRow(k=np.int64(2), dims=[3, 3], params=np.int64(120),
+                        compression_rate=np.float32(0.3), frobenius_error=np.float64(0.1),
+                        relative_error=1.0 / 3.0, iterations=np.int64(5),
+                        converged=np.bool_(True), seed=np.uint64(2**64 - 1))
+        [back] = parse_report(render_report([row]))
+        assert back.dims == tuple(row.dims)
+        for name in ("k", "params", "compression_rate", "frobenius_error", "relative_error",
+                     "iterations", "converged", "seed"):
+            assert getattr(back, name) == getattr(row, name), name

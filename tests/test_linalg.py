@@ -233,3 +233,13 @@ class TestSubspaceType:
         for j in (1, 3, 5):
             s = best_fit_subspace(rng.standard_normal((12, 6)), j)
             np.testing.assert_allclose(s.basis @ s.basis.T, np.eye(j), atol=1e-10)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Subspace(np.zeros((1, 1, 2))), ParameterError, "basis must be 2-d"),
+    (lambda: Subspace(np.array([[np.nan, 0.0]])), InputError, "non-finite"),
+    (lambda: best_fit_subspace(np.eye(3), -1), ParameterError, "must be nonnegative, got -1"),
+], ids=["subspace-3d", "subspace-nan", "fit-negative-j"])
+def test_rejects_bad_bases_and_dims(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
