@@ -8,9 +8,11 @@ in a cluster-major coefficient buffer (U^0, U^1, ... back to back) and the
 stacked bases. The assignment is the only record of the partition; the
 blocks, row positions and the sparse layer's row_starts derive from it.
 
-The compressed layer's forward pass is lookup(f, ids): it groups the ids by
-cluster and runs one (rows x j_i) @ (j_i x d) product per cluster, finding
-each row's coefficients through the per-row position index.
+The compressed layer's forward pass is lookup(f, ids): one sort groups the
+distinct ids by cluster, each cluster runs one (distinct rows x j_i) @
+(j_i x d) product, and a repeated id costs one product row, copied to every
+place that asked for it. A cluster whose every row is asked for multiplies
+its u block in place, so reconstruct gathers no copy of any block.
 """
 
 from __future__ import annotations
@@ -70,13 +72,13 @@ class MessiFactorization:
     blocks: tuple[Block, ...] = field(init=False, repr=False)
     positions: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, rows=None):
         object.__setattr__(self, "dims", tuple(int(j) for j in self.dims))
         for name, dtype in (("assignment", np.int64), ("values", float), ("v_stacked", float)):
             arr = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        blocks, positions = _derive_blocks(self)
+        blocks, positions = _derive_blocks(self, rows)
         positions.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "positions", positions)
@@ -108,13 +110,27 @@ class _NotOrthonormal(ParameterError):
         self.block = block
 
 
-def _derive_blocks(f: MessiFactorization) -> tuple[tuple[Block, ...], np.ndarray]:
-    """Check the invariants; return the blocks and each row's position inside its block."""
+def _grouped(rows: list[np.ndarray], **fields) -> MessiFactorization:
+    """MessiFactorization(**fields) whose assignment the caller has already
+    checked and grouped into rows (its _cluster_rows); neither step runs again."""
+    f = object.__new__(MessiFactorization)
+    for name, value in fields.items():
+        object.__setattr__(f, name, value)
+    f.__post_init__(rows)
+    return f
+
+
+def _derive_blocks(f: MessiFactorization, rows=None) -> tuple[tuple[Block, ...], np.ndarray]:
+    """Check the invariants; return the blocks and each row's position inside its block.
+
+    rows, when given, is the assignment's _cluster_rows, already checked.
+    """
     if f.n < 1 or f.d < 1:
         raise ParameterError(f"factorization needs n >= 1 and d >= 1, got n={f.n}, d={f.d}")
     if f.k < 1 or len(f.dims) != f.k or min(f.dims) < 0:
         raise ParameterError(f"expected {f.k} nonnegative dims, got {f.dims}")
-    rows = _cluster_rows(_check_assignment(f.assignment, f.n, f.k), f.k)
+    if rows is None:
+        rows = _cluster_rows(_check_assignment(f.assignment, f.n, f.k), f.k)
     sizes = [ids.size for ids in rows]
     shapes = {"values": (int(np.dot(sizes, f.dims)),), "v_stacked": (sum(f.dims), f.d)}
     for name, shape in shapes.items():
@@ -198,8 +214,8 @@ def build_factorization(a, clustering: Clustering, threads: int = 1) -> MessiFac
              for ids, (u, v) in zip(rows, views) for s in range(0, ids.size, CHUNK_ROWS)]
     with _one_blas_thread, _units(threads) as run:
         run(lambda unit: np.matmul(a[unit[0]], np.ascontiguousarray(unit[1].T), out=unit[2]), units)
-    return MessiFactorization(n=n, d=d, k=clustering.k, dims=dims, assignment=clustering.assignment,
-                              values=values, v_stacked=clustering.bases)
+    return _grouped(rows, n=n, d=d, k=clustering.k, dims=dims, assignment=clustering.assignment,
+                    values=values, v_stacked=clustering.bases)
 
 
 def assemble_sparse(f: MessiFactorization) -> SparseAssembly:
@@ -224,9 +240,14 @@ def lookup(f: MessiFactorization, ids) -> np.ndarray:
 
     ids is a 1-D integer array of row indices in [0, n) (an empty list also
     passes); repeats and any order are allowed, and negative ids are rejected
-    rather than wrapped. The ids are grouped by cluster, and each cluster's
-    coefficient rows go through its basis as one GEMM, so the result equals
-    reconstruct(f)[ids].
+    rather than wrapped. One sort groups the distinct ids by cluster, and each
+    cluster's coefficient rows go through its basis as one GEMM. A repeated id
+    is multiplied once and its product row copied to each place that asked
+    for it; a cluster whose every row is asked for multiplies its u block
+    itself, not a gathered copy. The result equals reconstruct(f)[ids]; it is
+    the product over every asked-for row, repeats included, bit for bit
+    unless two or more of a cluster's ids are all one row, whose one-row
+    product numpy may round differently.
     """
     ids = np.asarray(ids)
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
@@ -236,12 +257,29 @@ def lookup(f: MessiFactorization, ids) -> np.ndarray:
     if ids.size and (ids.min() < 0 or ids.max() >= f.n):
         raise ParameterError(f"ids must lie in [0, {f.n}), got [{ids.min()}, {ids.max()}]")
     ids = ids.astype(np.int64, copy=False)
-    out = np.empty((ids.size, f.d))
-    clusters = f.assignment[ids]
-    for c, b in enumerate(f.blocks):
-        sel = np.flatnonzero(clusters == c)
-        out[sel] = b.u[f.positions[ids[sel]]] @ b.v
-    return out
+    # (cluster, position in its block) as one integer: sorted, the ids fall into
+    # one run per cluster, positions ascending and repeats adjacent.
+    keys = f.assignment[ids] * f.n + f.positions[ids]
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = keys[1:] != keys[:-1]  # keys[i + 1] is not a repeat of keys[i]
+    repeats = not new.all()
+    if repeats:
+        first = np.concatenate(([True], new))
+        inverse = np.empty_like(order)  # ids[i]'s row among the distinct keys
+        inverse[order] = np.cumsum(first) - 1
+        keys = keys[first]
+    out = np.empty((keys.size, f.d))
+    bounds = np.searchsorted(keys, range(0, (f.k + 1) * f.n, f.n)).tolist()
+    for c, (b, lo, hi) in enumerate(zip(f.blocks, bounds, bounds[1:])):
+        if lo == hi:
+            continue
+        u = b.u if hi - lo == b.u.shape[0] else b.u[keys[lo:hi] - c * f.n]
+        if repeats:
+            np.matmul(u, b.v, out=out[lo:hi])
+        else:
+            out[order[lo:hi]] = u @ b.v
+    return out[inverse] if repeats else out
 
 
 def reconstruct(f: MessiFactorization) -> np.ndarray:

@@ -34,9 +34,9 @@ from tokenize import TokenError
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .cluster import _check_assignment
+from .cluster import _check_assignment, _cluster_rows
 from .errors import FormatError, InputError, MessiError
-from .factorization import MessiFactorization, _block_views, _NotOrthonormal
+from .factorization import MessiFactorization, _block_views, _grouped, _NotOrthonormal
 from .linalg import _all_finite
 
 _BUNDLE_FORMAT_VERSION = 1
@@ -318,7 +318,8 @@ def load_bundle(directory) -> MessiFactorization:
         assignment = _check_assignment(assignment, n, k)
     except MessiError as e:
         raise FormatError(f"{path}: {e}") from e
-    sizes = np.bincount(assignment, minlength=k)
+    rows = _cluster_rows(assignment, k)
+    sizes = [ids.size for ids in rows]
     try:  # before any array header is read, a corrupted meta can imply absurd sizes
         values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
     except (MemoryError, OverflowError, ValueError) as e:
@@ -330,8 +331,8 @@ def load_bundle(directory) -> MessiFactorization:
         _read_npy(os.path.join(directory, u_file), ("<f8",), 2, out=u)
         _read_npy(os.path.join(directory, v_file), ("<f8",), 2, out=v)
     try:
-        return MessiFactorization(n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
-                                  values=values, v_stacked=v_stacked)
+        return _grouped(rows, n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
+                        values=values, v_stacked=v_stacked)
     except _NotOrthonormal as e:
         raise FormatError(f"{os.path.join(directory, files[e.block][1])}: {e}") from e
 
@@ -385,7 +386,9 @@ _COLUMNS = {
     "frobenius_error": _or_empty(*_FLOAT),
     "relative_error": _or_empty(*_FLOAT),
     "iterations": _INT,
-    "converged": (lambda v: "true" if v else "false", lambda text: text == "true"),
+    # index raises ValueError on any text but the two that render writes
+    "converged": (lambda v: "true" if v else "false",
+                  lambda text: bool(("false", "true").index(text))),
     "seed": _INT,
 }
 REPORT_HEADER = ",".join(_COLUMNS)
@@ -405,15 +408,26 @@ def write_report(rows, path) -> None:
 
 
 def parse_report(text: str) -> list[ReportRow]:
-    """Parse CSV text produced by render_report back into rows."""
+    """Parse CSV text produced by render_report back into rows.
+
+    A cell that its column cannot parse raises FormatError naming the row
+    (1 is the first after the header) and the column.
+    """
     lines = text.strip("\n").split("\n")
     if lines[0] != REPORT_HEADER:
         raise FormatError("report header does not match the expected schema")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         if len(parts) != len(_COLUMNS):
-            raise FormatError(f"report row has {len(parts)} fields, expected {len(_COLUMNS)}")
-        rows.append(ReportRow(**{name: parse(part)
-                                 for (name, (_, parse)), part in zip(_COLUMNS.items(), parts)}))
+            raise FormatError(
+                f"report row {number} has {len(parts)} fields, expected {len(_COLUMNS)}")
+        fields = {}
+        for (name, (_, parse)), part in zip(_COLUMNS.items(), parts):
+            try:
+                fields[name] = parse(part)
+            except ValueError as e:
+                raise FormatError(
+                    f"report row {number}, column {name}: cannot parse {part!r}") from e
+        rows.append(ReportRow(**fields))
     return rows

@@ -2,8 +2,9 @@
 
 Most of these reuse none of the library's code paths (which fit subspaces
 from `eigh` of each cluster's Gram matrix): fit costs come from `eigvalsh`
-eigenvalue tails, distances from explicit projection residuals, and
-`dense_u` scatters the sparse layer's runs into a dense matrix. Three drive
+eigenvalue tails, distances from explicit projection residuals,
+`dense_u` scatters the sparse layer's runs into a dense matrix, and
+`gathered_lookup` multiplies every asked-for row, repeats included. Three drive
 the library's own steps: `brute_force` enumerates every row partition and
 scores it by Gram eigenvalue tails, then refits the winner with the
 library's M-step; `assign_step` is one nearest-subspace pass of EM's
@@ -241,3 +242,15 @@ def dense_u(sa) -> np.ndarray:
     u = np.zeros((sa.n, sa.total_dims))
     u[rows, sa.col_offsets[rows] + within] = sa.values[sa.row_starts[rows] + within]
     return u
+
+
+def gathered_lookup(f, ids) -> np.ndarray:
+    """lookup(f, ids) without dedup: per cluster, b.u[positions] @ b.v over every
+    id that cluster receives, repeats included, rows in ids order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.empty((ids.size, f.d))
+    clusters = f.assignment[ids]
+    for c, b in enumerate(f.blocks):
+        sel = np.flatnonzero(clusters == c)
+        out[sel] = b.u[f.positions[ids[sel]]] @ b.v
+    return out

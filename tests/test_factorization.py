@@ -26,7 +26,7 @@ from messi import (
     truncated_svd,
 )
 from messi.linalg import _blas_threads, _one_blas_thread, _set_blas_threads, orthonormality_residual
-from oracles import dense_u
+from oracles import dense_u, gathered_lookup
 
 
 # Relative Frobenius tolerance of a lookup batch against reconstruct(f)[ids].
@@ -261,6 +261,30 @@ class TestCheckedOnce:
         fact = build_factorization(pts, clus)
         assert calls == {"linalg": checked, "factorization": fact.k}
 
+    @pytest.mark.parametrize("path", ["build", "load"])
+    def test_assignment_checked_and_grouped_once(self, path, tmp_path, monkeypatch):
+        """build_factorization groups the clustering's checked assignment once;
+        load_bundle checks and groups assignment.npy once."""
+        pts, labels = planted_20x10(), np.repeat([0, 1], 10)
+        clus = Clustering(k=2, assignment=labels, subspaces=refit_step(pts, labels, 2, [3, 2]),
+                          cost=0.0, iterations=0, converged=True)
+        if path == "load":
+            save_bundle(build_factorization(pts, clus), tmp_path / "b")
+        calls = {"_check_assignment": 0, "_cluster_rows": 0}
+        for module in map(importlib.import_module,
+                          ("messi.cluster", "messi.factorization", "messi.io")):
+            for name in calls:
+                if hasattr(module, name):
+                    def counting(*args, name=name, fn=getattr(module, name)):
+                        calls[name] += 1
+                        return fn(*args)
+                    monkeypatch.setattr(module, name, counting)
+        if path == "load":
+            load_bundle(tmp_path / "b")
+        else:
+            build_factorization(pts, clus)
+        assert calls == {"_check_assignment": int(path == "load"), "_cluster_rows": 1}
+
     def test_nan_residual_rejected(self):
         basis = np.eye(3)[:2]
         assert orthonormality_residual(basis) == 0.0
@@ -468,9 +492,77 @@ class TestLookup:
 
     def test_rejects_bad_ids(self):
         fact = mixed_dims_factorization()
-        for ids in ([30], [-1], np.array([[0, 1]]), np.array([0.0, 1.0])):
+        for ids in ([30], [-1], np.array([[0, 1]]), np.array([0.0, 1.0]),
+                    np.array([2**63], dtype=np.uint64)):
             with pytest.raises(ParameterError):
                 lookup(fact, ids)
+
+    def test_one_id_repeated_512_times(self):
+        fact = mixed_dims_factorization()
+        z = int(fact.blocks[2].row_ids[4])
+        out = lookup(fact, np.full(512, z))
+        np.testing.assert_array_equal(out, np.repeat(lookup(fact, [z]), 512, axis=0))
+        self.assert_matches_reconstruct(fact, np.full(512, z))
+
+    def test_cluster_shrunk_to_one_distinct_row(self):
+        # Cluster 0 gets one row twice, so its product has a single row, which
+        # numpy may round apart from the two-row product of the gathered oracle.
+        fact = mixed_dims_factorization()
+        z = int(fact.blocks[0].row_ids[1])
+        ids = np.array([z, *fact.blocks[2].row_ids[:3], z])
+        out = lookup(fact, ids)
+        expected = gathered_lookup(fact, ids)
+        assert np.linalg.norm(out - expected) <= LOOKUP_RTOL * np.linalg.norm(expected)
+        np.testing.assert_array_equal(out[0], out[-1])
+        np.testing.assert_array_equal(out[1:-1], expected[1:-1])
+        self.assert_matches_reconstruct(fact, ids)
+
+    def test_every_row_of_one_block(self):
+        fact = mixed_dims_factorization()
+        b = fact.blocks[2]
+        ids = np.random.default_rng(16).permutation(b.row_ids)
+        out = lookup(fact, ids)
+        np.testing.assert_array_equal(out, gathered_lookup(fact, ids))
+        np.testing.assert_array_equal(out[np.argsort(ids)], b.u @ b.v)
+        np.testing.assert_array_equal(reconstruct(fact)[b.row_ids], b.u @ b.v)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+    def test_unsigned_ids(self, dtype):
+        fact = mixed_dims_factorization()
+        ids = np.array([5, 29, 0, 5, 17, 12])
+        np.testing.assert_array_equal(lookup(fact, ids.astype(dtype)), lookup(fact, ids))
+
+    def test_unsorted_distinct_ids_come_back_in_ids_order(self):
+        fact = mixed_dims_factorization()
+        ids = np.random.default_rng(17).permutation(fact.n)[:12]
+        assert np.any(np.diff(ids) < 0)
+        np.testing.assert_array_equal(lookup(fact, ids), gathered_lookup(fact, ids))
+        self.assert_matches_reconstruct(fact, ids)
+
+    def test_bits_equal_gathered_products_unless_a_cluster_shrinks(self):
+        """Each cluster multiplies its distinct rows once; where every cluster
+        gets no id, one id, or at least two distinct rows, the result is the
+        gathered product over every id, repeats included, bit for bit."""
+        rng = np.random.default_rng(18)
+        pts = rng.standard_normal((300, 12))
+        labels = rng.integers(0, 3, 300)
+        clus = Clustering(k=3, assignment=labels, subspaces=refit_step(pts, labels, 3, [4, 5, 3]),
+                          cost=0.0, iterations=0, converged=True)
+        fact = build_factorization(pts, clus)
+        exact = 0
+        for size in (2, 3, 8, 40, 300, 512):
+            for _ in range(8):
+                ids = rng.integers(0, fact.n, size)
+                out, expected = lookup(fact, ids), gathered_lookup(fact, ids)
+                clusters = fact.assignment[ids]
+                shrinks = any((clusters == c).sum() > 1 and np.unique(ids[clusters == c]).size == 1
+                              for c in range(fact.k))
+                if shrinks:
+                    assert np.linalg.norm(out - expected) <= LOOKUP_RTOL * np.linalg.norm(expected)
+                else:
+                    np.testing.assert_array_equal(out, expected)
+                    exact += 1
+        assert exact >= 30
 
 
 class TestParamCounts:

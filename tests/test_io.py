@@ -583,6 +583,19 @@ class TestReports:
         with pytest.raises(FormatError):
             parse_report("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("column, cell", [
+        ("converged", "True"), ("converged", "1"), ("converged", ""), ("iterations", "x"),
+        ("k", "2.0"), ("params", "many"), ("relative_error", "0.1.2"), ("dims", "3;x"),
+    ])
+    def test_unparsable_cell_names_row_and_column(self, column, cell):
+        lines = render_report(self.rows()).splitlines()
+        names = lines[0].split(",")
+        cells = lines[2].split(",")
+        cells[names.index(column)] = cell
+        lines[2] = ",".join(cells)
+        with pytest.raises(FormatError, match=f"report row 2, column {column}: cannot parse"):
+            parse_report("\n".join(lines) + "\n")
+
     def test_numpy_scalars_and_list_dims_parse_back_equal(self):
         row = ReportRow(k=np.int64(2), dims=[3, 3], params=np.int64(120),
                         compression_rate=np.float32(0.3), frobenius_error=np.float64(0.1),

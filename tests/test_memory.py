@@ -1,4 +1,5 @@
-"""Bounded-memory checks: fits, costs and factor builds read a cluster's rows in fixed chunks.
+"""Bounded-memory checks: fits, costs and factor builds read a cluster's rows in fixed chunks,
+and reconstruct multiplies each u block in place.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 counts every temporary array it makes. A cluster of n_c rows gathered whole
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from messi import Clustering, build_factorization, clustering_cost, refit_step
+from messi import Clustering, build_factorization, clustering_cost, reconstruct, refit_step
 from messi.cluster import _refit
 from messi.linalg import CHUNK_ROWS
 
@@ -59,3 +60,18 @@ def test_clustering_cost_peak_is_bounded(instance):
     subspaces = refit_step(points, assignment, 2, J)
     _, peak = traced_peak(lambda: clustering_cost(points, assignment, subspaces))
     assert peak < BOUND
+
+
+def test_reconstruct_gathers_no_block(instance):
+    """reconstruct holds its output and one cluster's product at a time, plus a
+    few length-n index vectors: less than one u block, so no block is copied."""
+    points, assignment = instance
+    clustering = Clustering(k=2, assignment=assignment,
+                            subspaces=tuple(refit_step(points, assignment, 2, J)),
+                            cost=0.0, iterations=0, converged=True)
+    f = build_factorization(points, clustering, threads=1)
+    largest = max(f.block_sizes())
+    slack = 4 * N * 8
+    assert slack < largest * J * 8
+    out, peak = traced_peak(lambda: reconstruct(f))
+    assert peak < out.nbytes + largest * D * 8 + slack
