@@ -42,6 +42,7 @@ from .errors import ParameterError
 from .linalg import (
     CHUNK_ROWS,
     Subspace,
+    _check_ids,
     _distances_sq,
     _gram,
     _gram_eigh,
@@ -107,6 +108,7 @@ class EmOptions:
 class Clustering:
     """A partition of n rows among k subspaces together with its achieved cost.
 
+    assignment (integer ids in [0, k), one per row; no floats) is kept as a read-only copy.
     cost_history holds the objective after every completed EM iteration
     (index 0 is the post-initialization cost); it is nonincreasing. bases
     holds every basis once, as one read-only (sum(dims), d) copy of the given
@@ -137,8 +139,7 @@ class Clustering:
             raise ParameterError(f"expected {self.k} subspaces, got {len(subspaces)}")
         d = subspaces[0].ambient
         dims = [s.dim for s in _check_subspaces(subspaces, d)]
-        a = _check_assignment(self.assignment, np.asarray(self.assignment).shape[0], self.k)
-        a = a.copy()
+        a = _check_ids(self.assignment, self.k, "assignment").copy()
         a.flags.writeable = False
         bases = np.concatenate([s.basis for s in subspaces], out=np.empty((sum(dims), d)))
         bases.flags.writeable = False
@@ -147,16 +148,6 @@ class Clustering:
         object.__setattr__(self, "subspaces",
                            tuple(map(_subspace_view, np.split(bases, np.cumsum(dims)[:-1]))))
         object.__setattr__(self, "cost_history", tuple(self.cost_history))
-
-
-def _check_assignment(assignment, n: int, k: int) -> np.ndarray:
-    """The assignment as int64, after checking it is n cluster ids in [0, k)."""
-    a = np.asarray(assignment, dtype=np.int64)
-    if a.ndim != 1 or a.shape[0] != n:
-        raise ParameterError(f"assignment must be a length-{n} id list, got shape {a.shape}")
-    if a.size and (a.min() < 0 or a.max() >= k):
-        raise ParameterError(f"assignment contains ids outside [0, {k})")
-    return a
 
 
 def _cluster_rows(assignment: np.ndarray, k: int) -> list[np.ndarray]:
@@ -207,8 +198,8 @@ def _assign_and_cost(points: np.ndarray, norms_sq: np.ndarray, subspaces, run=_s
             dists[rows, c] = _distances_sq(points[rows], norms_sq[rows], subspaces[c])
         return np.argmin(dists[rows], axis=1), float(np.sum(np.min(dists[rows], axis=1)))
 
-    parts = run(chunk, range(0, points.shape[0], CHUNK_ROWS))
-    return np.concatenate([a for a, _ in parts]).astype(np.int64), sum(c for _, c in parts)
+    ids, costs = zip(*run(chunk, range(0, points.shape[0], CHUNK_ROWS)))
+    return np.concatenate(ids).astype(np.int64, copy=False), sum(costs)
 
 
 def _own_distances_sq(points: np.ndarray, members: list[np.ndarray], subspaces) -> np.ndarray:
@@ -227,7 +218,7 @@ def clustering_cost(points, assignment, subspaces) -> float:
     points = as_matrix(points)
     n, d = points.shape
     subspaces = _check_subspaces(subspaces, d)
-    members = _cluster_rows(_check_assignment(assignment, n, len(subspaces)), len(subspaces))
+    members = _cluster_rows(_check_ids(assignment, len(subspaces), "assignment", n), len(subspaces))
     dists = _own_distances_sq(points, members, subspaces)
     return sum(float(np.sum(dists[ids])) for ids in members)
 
@@ -279,7 +270,7 @@ def refit_step(points, assignment, k: int, j: int | Sequence[int]) -> list[Subsp
     points = as_matrix(points)
     n, d = points.shape
     dims = _check_dims(k, j, d)
-    return _refit(points, _check_assignment(assignment, n, k), dims)
+    return _refit(points, _check_ids(assignment, k, "assignment", n), dims)
 
 
 def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_index: int = 0,
@@ -312,7 +303,7 @@ def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_inde
     with _one_blas_thread, _units(threads) as run:
         fitted_from = None  # the assignment the current subspaces were fit from
         if initial_assignment is not None:
-            fitted_from = _check_assignment(initial_assignment, n, k)
+            fitted_from = _check_ids(initial_assignment, k, "initial_assignment", n)
         elif opts.init == "random-partition":
             fitted_from = rng.integers(0, k, size=n)
         if fitted_from is None:  # sampled-rows
@@ -385,7 +376,7 @@ def allocate_dims(points, assignment, total_dims: int, k: int) -> list[int]:
     """
     points = as_matrix(points)
     n, d = points.shape
-    a = _check_assignment(assignment, n, k)
+    a = _check_ids(assignment, k, "assignment", n)
     if total_dims < k:
         raise ParameterError(f"total_dims {total_dims} cannot cover {k} clusters at one dim each")
     if total_dims > k * d:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Clustering, _check_assignment, _cluster_rows, _units
+from .cluster import Clustering, _cluster_rows, _units
 from .errors import ParameterError
-from .linalg import CHUNK_ROWS, ORTHONORMALITY_TOL, _one_blas_thread, as_matrix, orthonormality_residual
+from .linalg import (CHUNK_ROWS, ORTHONORMALITY_TOL, _check_ids, _one_blas_thread, as_matrix,
+                     orthonormality_residual)
 
 __all__ = [
     "Block",
@@ -57,7 +58,7 @@ class MessiFactorization:
     with its rows ascending, then blocks[1].u, and so on; v_stacked
     (sum(dims) x d) is blocks[0].v, blocks[1].v, ... The three arrays are
     taken without a copy and kept read-only. blocks (views of the buffers)
-    and positions derive from assignment: row z is
+    and positions derive from assignment, n integer ids in [0, k): row z is
     blocks[assignment[z]].u[positions[z]]. Each v block has orthonormal rows,
     so u @ v is the projection of the cluster's rows onto its subspace.
     """
@@ -74,14 +75,15 @@ class MessiFactorization:
 
     def __post_init__(self, rows=None):
         object.__setattr__(self, "dims", tuple(int(j) for j in self.dims))
-        for name, dtype in (("assignment", np.int64), ("values", float), ("v_stacked", float)):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+        for name in ("values", "v_stacked"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         blocks, positions = _derive_blocks(self, rows)
-        positions.flags.writeable = False
+        for name, arr in (("assignment", self.assignment.view()), ("positions", positions)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "positions", positions)
 
     def param_count(self) -> int:
         """Stored values: sum(n_i * j_i) + sum(j_i * d)."""
@@ -123,14 +125,15 @@ def _grouped(rows: list[np.ndarray], **fields) -> MessiFactorization:
 def _derive_blocks(f: MessiFactorization, rows=None) -> tuple[tuple[Block, ...], np.ndarray]:
     """Check the invariants; return the blocks and each row's position inside its block.
 
-    rows, when given, is the assignment's _cluster_rows, already checked.
+    rows, when given, is the checked assignment's _cluster_rows; else this checks it.
     """
     if f.n < 1 or f.d < 1:
         raise ParameterError(f"factorization needs n >= 1 and d >= 1, got n={f.n}, d={f.d}")
     if f.k < 1 or len(f.dims) != f.k or min(f.dims) < 0:
         raise ParameterError(f"expected {f.k} nonnegative dims, got {f.dims}")
     if rows is None:
-        rows = _cluster_rows(_check_assignment(f.assignment, f.n, f.k), f.k)
+        object.__setattr__(f, "assignment", _check_ids(f.assignment, f.k, "assignment", f.n))
+        rows = _cluster_rows(f.assignment, f.k)
     sizes = [ids.size for ids in rows]
     shapes = {"values": (int(np.dot(sizes, f.dims)),), "v_stacked": (sum(f.dims), f.d)}
     for name, shape in shapes.items():
@@ -239,24 +242,18 @@ def lookup(f: MessiFactorization, ids) -> np.ndarray:
     """Forward pass of the compressed layer: row i is the reconstruction of row ids[i].
 
     ids is a 1-D integer array of row indices in [0, n) (an empty list also
-    passes); repeats and any order are allowed, and negative ids are rejected
-    rather than wrapped. One sort groups the distinct ids by cluster, and each
-    cluster's coefficient rows go through its basis as one GEMM. A repeated id
-    is multiplied once and its product row copied to each place that asked
-    for it; a cluster whose every row is asked for multiplies its u block
-    itself, not a gathered copy. The result equals reconstruct(f)[ids]; it is
-    the product over every asked-for row, repeats included, bit for bit
-    unless two or more of a cluster's ids are all one row, whose one-row
-    product numpy may round differently.
+    passes); repeats and any order are allowed. Negative ids are rejected
+    rather than wrapped, floats and bool masks rather than cast. One sort
+    groups the distinct ids by cluster, and each cluster's coefficient rows
+    go through its basis as one GEMM. A repeated id is multiplied once and
+    its product row copied to each place that asked for it; a cluster whose
+    every row is asked for multiplies its u block itself, not a gathered
+    copy. The result equals reconstruct(f)[ids]; it is the product over every
+    asked-for row, repeats included, bit for bit unless two or more of a
+    cluster's ids are all one row, whose one-row product numpy may round
+    differently.
     """
-    ids = np.asarray(ids)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise ParameterError(
-            f"ids must be a 1-D integer array, got shape {ids.shape} of dtype {ids.dtype}"
-        )
-    if ids.size and (ids.min() < 0 or ids.max() >= f.n):
-        raise ParameterError(f"ids must lie in [0, {f.n}), got [{ids.min()}, {ids.max()}]")
-    ids = ids.astype(np.int64, copy=False)
+    ids = _check_ids(ids, f.n, "ids")
     # (cluster, position in its block) as one integer: sorted, the ids fall into
     # one run per cluster, positions ascending and repeats adjacent.
     keys = f.assignment[ids] * f.n + f.positions[ids]

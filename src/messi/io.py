@@ -34,10 +34,10 @@ from tokenize import TokenError
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .cluster import _check_assignment, _cluster_rows
+from .cluster import _cluster_rows
 from .errors import FormatError, InputError, MessiError
 from .factorization import MessiFactorization, _block_views, _grouped, _NotOrthonormal
-from .linalg import _all_finite
+from .linalg import _all_finite, _check_ids
 
 _BUNDLE_FORMAT_VERSION = 1
 
@@ -119,7 +119,7 @@ def save_index_vector(v, path) -> None:
 
 def load_index_vector(path) -> np.ndarray:
     """Load a 1-d "<i8" NPY 1.0 file."""
-    return _read_npy(path, allowed_descrs=("<i8",), expected_ndim=1).astype(np.int64, copy=False)
+    return _read_npy(path, allowed_descrs=("<i8",), expected_ndim=1)
 
 
 def _atomic_write_bytes(path, *parts) -> None:
@@ -247,14 +247,14 @@ def check_bundle_target(directory) -> bool:
     True for a previous bundle: a directory whose meta.json passes
     load_bundle_meta and whose entries are exactly meta.json, assignment.npy
     and u_c.npy / v_c.npy for each c < k. False for an absent path or an
-    empty directory. Anything else, a corrupt bundle included, is not
-    save_bundle's to replace and raises FormatError, so a caller can check
-    before any work.
+    empty directory. Anything else, a corrupt bundle or a symbolic link
+    (named with a trailing slash too) included, is not save_bundle's to
+    replace and raises FormatError, so a caller can check before any work.
     """
     if not os.path.lexists(directory):
         return False
-    if not os.path.isdir(directory):
-        raise FormatError(f"{directory} exists and is not a directory; refusing to replace it")
+    if os.path.islink(os.path.normpath(directory)) or not os.path.isdir(directory):
+        raise FormatError(f"{directory} is not a directory or is a symlink; refusing to replace it")
     entries = set(os.listdir(directory))
     if not entries:
         return False
@@ -315,7 +315,7 @@ def load_bundle(directory) -> MessiFactorization:
     path = os.path.join(directory, _ASSIGNMENT_FILE)
     assignment = load_index_vector(path)
     try:
-        assignment = _check_assignment(assignment, n, k)
+        assignment = _check_ids(assignment, k, "assignment", n)
     except MessiError as e:
         raise FormatError(f"{path}: {e}") from e
     rows = _cluster_rows(assignment, k)

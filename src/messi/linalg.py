@@ -122,6 +122,19 @@ def _all_finite(m: np.ndarray) -> bool:
     return all(np.isfinite(m[s : s + CHUNK_ROWS]).all() for s in range(0, m.shape[0], CHUNK_ROWS))
 
 
+def _check_ids(ids, bound: int, name: str, length: int | None = None) -> np.ndarray:
+    """ids as int64 (not copied if they are), once checked to be a 1-d integer array
+    of ids in [0, bound), length of them if given. Floats and bools are refused, an
+    empty list passes; the range is tested on the input's own dtype, before any cast."""
+    a = np.asarray(ids)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu") or length not in (None, a.size):
+        raise ParameterError(f"{name} must be a 1-d array of {length or 'any number of'} "
+                             f"integer ids, got shape {a.shape} of dtype {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise ParameterError(f"{name} outside [0, {bound}): min {a.min()}, max {a.max()}")
+    return a.astype(np.int64, copy=False)
+
+
 def orthonormality_residual(basis: np.ndarray) -> float:
     """max |basis @ basis.T - I| of a (j, d) basis, 0 for j == 0 (NaN if an entry is NaN)."""
     j = basis.shape[0]
@@ -201,7 +214,7 @@ def truncated_svd(m, r: int) -> SvdResult:
 def best_fit_subspace(points, j: int, rows=None) -> Subspace:
     """The j-dim linear subspace minimizing the sum of squared distances to the rows.
 
-    rows, when given, are the ids of the rows of points to fit (default all).
+    rows, when given, are the integer ids of the rows to fit (default all), not a mask.
     This is the span of the top-j eigenvectors of the d x d Gram matrix
     X.T @ X of those rows X (no mean-centering), i.e. of the top-j right
     singular vectors. When the rows have rank < j the basis is padded with
@@ -211,9 +224,7 @@ def best_fit_subspace(points, j: int, rows=None) -> Subspace:
     """
     points = _as_2d(points)
     n, d = points.shape
-    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
-    if rows is not None and (rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n))):
-        raise ParameterError(f"rows must be a 1-d list of row ids in [0, {n})")
+    rows = None if rows is None else _check_ids(rows, n, "row ids")
     if j < 0:
         raise ParameterError(f"subspace dimension must be nonnegative, got {j}")
     if j > d:

@@ -20,7 +20,6 @@ from messi.cluster import (
     _COST_EPS,
     Clustering,
     _assign_and_cost,
-    _check_assignment,
     _check_dims,
     _check_subspaces,
     _refit,
@@ -28,7 +27,8 @@ from messi.cluster import (
     clustering_cost,
 )
 from messi.errors import MessiError
-from messi.linalg import _gram_eigh, _one_blas_thread, _row_norms_sq, as_matrix, best_fit_subspace
+from messi.linalg import (_check_ids, _gram_eigh, _one_blas_thread, _row_norms_sq, as_matrix,
+                          best_fit_subspace)
 
 # Guard on the assignment-enumeration size of brute_force.
 _BRUTE_FORCE_LIMIT = 10**7
@@ -122,7 +122,8 @@ def reference_em_run(points, k, j, opts, restart_index=0, initial_assignment=Non
     healed = 0
     with _one_blas_thread, _units(threads) as run:
         if initial_assignment is not None:
-            subspaces = _refit(points, _check_assignment(initial_assignment, n, k), dims, run)
+            assignment = _check_ids(initial_assignment, k, "initial_assignment", n)
+            subspaces = _refit(points, assignment, dims, run)
         elif opts.init == "random-partition":
             subspaces = _refit(points, rng.integers(0, k, size=n), dims, run)
         else:  # sampled-rows

@@ -215,6 +215,23 @@ class TestCompress:
         assert "not a bundle" in result.output
         assert (tmp_path / "data" / "important.txt").read_text() == "keep me"
 
+    def test_symlinked_output_refused_before_clustering(self, runner, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("EM ran although --output cannot be written")
+
+        monkeypatch.setattr("messi.cli.em_multi_restart", must_not_run)
+        write_planted(tmp_path / "a.npy")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "link").symlink_to("empty")
+        result = invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "2", "--j", "3", "--output", str(tmp_path / "link"),
+        ])
+        assert result.exit_code == 1
+        assert f"{tmp_path / 'link'} is not a directory or is a symlink" in result.output
+        assert str((tmp_path / "link").readlink()) == "empty"
+        assert not any((tmp_path / "empty").iterdir())
+
     def test_infeasible_sizes_exit_1(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")
         result = invoke(runner, [

@@ -11,10 +11,13 @@ from messi import (
     MessiFactorization,
     ParameterError,
     Subspace,
+    allocate_dims,
     assemble_sparse,
     best_fit_subspace,
     build_factorization,
+    clustering_cost,
     em_multi_restart,
+    em_run,
     equal_budget_j,
     load_bundle,
     lookup,
@@ -25,7 +28,8 @@ from messi import (
     svd_baseline_params,
     truncated_svd,
 )
-from messi.linalg import _blas_threads, _one_blas_thread, _set_blas_threads, orthonormality_residual
+from messi.linalg import (_blas_threads, _check_ids, _one_blas_thread, _set_blas_threads,
+                          orthonormality_residual)
 from oracles import dense_u, gathered_lookup
 
 
@@ -188,6 +192,57 @@ class TestPartitionChecks:
             self.rebuild(f, v_stacked=f.v_stacked[:-1])
 
 
+def bad_ids(n: int, bound: int) -> dict:
+    """Length-n id lists that no id check may accept for ids in [0, bound), bound >= 2:
+    wrong dtype or shape with in-range values, or the right dtype with one id out of range."""
+    good = np.arange(n) % bound
+    out_of_range = {"minus-1": -1, "bound": bound, "uint64-2**63": 2**63}
+    return {
+        "float": good.astype(np.float64),
+        "bool": good % 2 == 1,
+        "0-d": np.int64(1),
+        "2-d": good.reshape(1, n),
+        **{name: np.where(np.arange(n) == 1, bad, good).astype(
+            np.uint64 if bad == 2**63 else np.int64) for name, bad in out_of_range.items()},
+    }
+
+
+def id_entry_points() -> dict:
+    """Each public entry that takes ids: name -> (n, bound, call) for n ids in [0, bound)."""
+    fact = mixed_dims_factorization()
+    pts = planted_20x10()
+    subs = refit_step(pts, np.repeat([0, 1], 10), 2, 3)
+    return {
+        "lookup": (fact.n, fact.n, lambda ids: lookup(fact, ids)),
+        "fit-rows": (20, 20, lambda ids: best_fit_subspace(pts, 2, ids)),
+        "Clustering": (20, 2, lambda ids: Clustering(
+            k=2, assignment=ids, subspaces=subs, cost=0.0, iterations=0, converged=True)),
+        "MessiFactorization": (fact.n, fact.k,
+                               lambda ids: TestPartitionChecks.rebuild(fact, assignment=ids)),
+        "refit_step": (20, 2, lambda ids: refit_step(pts, ids, 2, 3)),
+        "clustering_cost": (20, 2, lambda ids: clustering_cost(pts, ids, subs)),
+        "em_run": (20, 2, lambda ids: em_run(pts, 2, 3, EmOptions(restarts=1),
+                                             initial_assignment=ids)),
+        "allocate_dims": (20, 2, lambda ids: allocate_dims(pts, ids, 6, 2)),
+    }
+
+
+class TestIdCheck:
+    """Every entry that takes row or cluster ids refuses the same bad ids, before any cast."""
+
+    @pytest.mark.parametrize("case", list(bad_ids(4, 2)))
+    @pytest.mark.parametrize("entry", list(id_entry_points()))
+    def test_bad_ids_rejected(self, entry, case):
+        n, bound, call = id_entry_points()[entry]
+        with pytest.raises(ParameterError, match=r"integer ids|outside \[0, "):  # not a later check
+            call(bad_ids(n, bound)[case])
+
+    def test_int64_ids_are_not_copied(self):
+        ids = np.array([3, 0, 2])
+        assert _check_ids(ids, 4, "ids") is ids
+        assert _check_ids(ids.astype(np.uint8), 4, "ids").dtype == np.int64
+
+
 class TestSingleCopy:
     """Every coefficient and basis row is stored once: blocks and the sparse layer are views."""
 
@@ -270,7 +325,7 @@ class TestCheckedOnce:
                           cost=0.0, iterations=0, converged=True)
         if path == "load":
             save_bundle(build_factorization(pts, clus), tmp_path / "b")
-        calls = {"_check_assignment": 0, "_cluster_rows": 0}
+        calls = {"_check_ids": 0, "_cluster_rows": 0}
         for module in map(importlib.import_module,
                           ("messi.cluster", "messi.factorization", "messi.io")):
             for name in calls:
@@ -283,7 +338,7 @@ class TestCheckedOnce:
             load_bundle(tmp_path / "b")
         else:
             build_factorization(pts, clus)
-        assert calls == {"_check_assignment": int(path == "load"), "_cluster_rows": 1}
+        assert calls == {"_check_ids": int(path == "load"), "_cluster_rows": 1}
 
     def test_nan_residual_rejected(self):
         basis = np.eye(3)[:2]
@@ -493,7 +548,7 @@ class TestLookup:
     def test_rejects_bad_ids(self):
         fact = mixed_dims_factorization()
         for ids in ([30], [-1], np.array([[0, 1]]), np.array([0.0, 1.0]),
-                    np.array([2**63], dtype=np.uint64)):
+                    np.array([2**63], dtype=np.uint64), np.array([True, False]), np.int64(1)):
             with pytest.raises(ParameterError):
                 lookup(fact, ids)
 

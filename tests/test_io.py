@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -532,6 +533,28 @@ class TestBundleRoundTrip:
         assert calls["n"] == 0
         assert sorted(os.listdir(tmp_path)) == ["out"]
         assert os.listdir(target) == ["notes.txt"]
+
+    @pytest.mark.parametrize("target", ["bundle", "empty"])
+    @pytest.mark.parametrize("slash", ["", "/"])
+    def test_symlink_refused(self, tmp_path, target, slash):
+        # Unrefused, the swap renames through the link and fails after all the work:
+        # IsADirectoryError leaving a .bundle-old-* behind, or NotADirectoryError.
+        _, clus, fact = make_factorization(seed=9)
+        real = tmp_path / target
+        if target == "bundle":
+            save_bundle(fact, real, cost=clus.cost)
+        else:
+            real.mkdir()
+        before = {p.name: p.read_bytes() for p in real.iterdir()}
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        message = rf"^{re.escape(str(link))}/? is not a directory or is a symlink"
+        for call in (mio.check_bundle_target, lambda path: save_bundle(fact, path)):
+            with pytest.raises(FormatError, match=message):
+                call(str(link) + slash)
+        assert os.readlink(link) == target
+        assert {p.name: p.read_bytes() for p in real.iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == sorted([target, "link"])
 
     def test_duplicate_meta_key_rejected(self, tmp_path):
         _, clus, fact = make_factorization(seed=12)

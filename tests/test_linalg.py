@@ -198,8 +198,12 @@ class TestBestFitSubspace:
         with pytest.raises(InputError):
             best_fit_subspace(pts, 2)
         assert best_fit_subspace(pts, 2, np.arange(CHUNK_ROWS)).dim == 2
+        assert best_fit_subspace(pts, 2, []).dim == 2  # an empty list gathers no row
 
-    @pytest.mark.parametrize("rows", [[0, 10], [-1, 2], [[0, 1]]])
+    @pytest.mark.parametrize("rows", [
+        [0, 10], [-1, 2], [[0, 1]], [0.5, 1.7, 2.2], np.array([True, False, True]), np.int64(1),
+        np.array([2**63], dtype=np.uint64),
+    ])
     def test_bad_row_ids_rejected(self, rows):
         with pytest.raises(ParameterError, match="row ids"):
             best_fit_subspace(np.ones((10, 3)), 1, rows)
