@@ -12,21 +12,33 @@ FormatError naming the file, so files exported from any deep-learning
 stack either load exactly or fail loudly.
 
 A factorization bundle is a directory holding meta.json (its keys and their
-checks are _META_SCHEMA), assignment.npy and per-cluster u_i.npy / v_i.npy
-files; save writes to a temporary sibling and
-renames, so failures never leave a partial bundle behind. Save replaces only
-an empty directory or a previous bundle, never other data. Array bodies are
-written from and read into the arrays' own buffers, without a copy.
+checks are _META_SCHEMA), assignment.npy and the factorization's two buffers
+as two files: values.npy (every u block, cluster-major, 1-d) and
+v_stacked.npy (sum(dims) x d). Save writes format 2, that layout, to a
+temporary sibling and renames, so failures never leave a partial bundle
+behind; it replaces only an empty directory or a previous bundle, never
+other data. Load maps the two bodies read-only instead of reading them, once
+every header, size, id and orthonormality check has passed, so pages come
+from the page cache as they are first touched. Format 1 bundles, with one
+u_c.npy and one v_c.npy per cluster, still load, read into new buffers.
+
+A mapped bundle is only as stable as its files. Another program that
+rewrites one in place while it is mapped changes the served weights, and
+one that truncates it makes the next touch of a lost page raise SIGBUS.
+save_bundle never rewrites a file in place: it stages a new bundle and
+renames it over the old, whose mapped files live on until unmapped.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import operator
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from io import BytesIO
 from tokenize import TokenError
@@ -39,7 +51,8 @@ from .errors import FormatError, InputError, MessiError
 from .factorization import MessiFactorization, _block_views, _grouped, _NotOrthonormal
 from .linalg import _all_finite, _check_ids
 
-_BUNDLE_FORMAT_VERSION = 1
+# save_bundle writes format 2; load_bundle and check_bundle_target also take format 1.
+_BUNDLE_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------- NPY files
@@ -51,9 +64,10 @@ def _write_npy(path, arr: np.ndarray, descr: str) -> None:
     _atomic_write_bytes(path, header.getvalue(), data)
 
 
-def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int, out=None) -> np.ndarray:
-    """Validate an NPY 1.0 file and read its body into a new array, or into out: a
-    C-contiguous array of the shape the caller's metadata implies."""
+@contextmanager
+def _npy_body(path, allowed_descrs: tuple[str, ...], expected_ndim: int, expected_shape=None):
+    """Open an NPY 1.0 file, check its header and its body's size, and yield (the
+    file at the body, shape, dtype); expected_shape is the shape metadata implies."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -75,19 +89,41 @@ def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int, out=Non
             raise FormatError(f"{path}: fortran_order must be False")
         if len(shape) != expected_ndim or any(s < 0 for s in shape):
             raise FormatError(f"{path}: shape {shape!r} is not a valid {expected_ndim}-d shape")
-        if out is not None and shape != out.shape:
-            raise FormatError(f"{path}: has shape {shape}, meta implies {out.shape}")
+        if expected_shape is not None and shape != expected_shape:
+            raise FormatError(f"{path}: has shape {shape}, meta implies {expected_shape}")
         nbytes = math.prod(shape) * dtype.itemsize
-        # The body's size is checked against the file's before any allocation.
+        # The body's size is checked against the file's before any allocation or mapping.
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available < nbytes:
             raise FormatError(f"{path}: data truncated ({available} of {nbytes} bytes)")
         if available > nbytes:
             raise FormatError(f"{path}: trailing bytes after array data")
+        yield fh, shape, dtype
+
+
+def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int, out=None) -> np.ndarray:
+    """Validate an NPY 1.0 file and read its body into a new array, or into out: a
+    C-contiguous array of the shape the caller's metadata implies."""
+    expected_shape = None if out is None else out.shape
+    with _npy_body(path, allowed_descrs, expected_ndim, expected_shape) as (fh, shape, dtype):
         out = np.empty(shape, dtype=dtype) if out is None else out
-        if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
+        if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
             raise FormatError(f"{path}: data truncated while reading")
     return out
+
+
+def _map_npy(path, shape: tuple[int, ...]) -> np.ndarray:
+    """Validate a "<f8" NPY 1.0 file of the given shape and map its body read-only.
+
+    Nothing is read or copied: the array's pages come from the page cache as
+    they are first touched, and the mapping lives as long as the array.
+    """
+    with _npy_body(path, ("<f8",), len(shape), shape) as (fh, _, dtype):
+        try:
+            body = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            return np.frombuffer(body, dtype, math.prod(shape), fh.tell()).reshape(shape)
+        except (OSError, ValueError) as e:  # ValueError: the file shrank since its size was checked
+            raise FormatError(f"{path}: cannot map array data: {e}") from e
 
 
 def load_matrix(path) -> np.ndarray:
@@ -110,11 +146,18 @@ def save_matrix(m, path) -> None:
 
 
 def save_index_vector(v, path) -> None:
-    """Write a 1-d integer array (assignments, labels) as "<i8" NPY 1.0."""
-    v = np.asarray(v, dtype=np.int64)
-    if v.ndim != 1:
-        raise FormatError(f"can only save 1-d index vectors, got ndim={v.ndim}")
-    _write_npy(path, v, "<i8")
+    """Write a 1-d integer array (assignments, labels) as "<i8" NPY 1.0.
+
+    Floats and bools are refused rather than cast (an empty list passes), and
+    so is an unsigned value beyond the "<i8" range rather than wrapped.
+    """
+    a = np.asarray(v)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise FormatError(f"can only save 1-d integer index vectors, "
+                          f"got shape {a.shape} of dtype {a.dtype}")
+    if a.size and a.dtype.kind == "u" and a.max() > np.iinfo(np.int64).max:
+        raise FormatError(f"index vector value {a.max()} does not fit in <i8")
+    _write_npy(path, a, "<i8")
 
 
 def load_index_vector(path) -> np.ndarray:
@@ -149,8 +192,8 @@ def _is_int(value, low: int) -> bool:
 # k, since dims needs k), each with a test of (value, whole meta) and what
 # the value must be.
 _META_SCHEMA = (
-    ("format_version", lambda v, m: _is_int(v, 1) and v == _BUNDLE_FORMAT_VERSION,
-     f"be {_BUNDLE_FORMAT_VERSION}"),
+    ("format_version", lambda v, m: _is_int(v, 1) and v <= _BUNDLE_FORMAT_VERSION,
+     f"be 1 or {_BUNDLE_FORMAT_VERSION}"),
     ("n", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
     ("d", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
     ("k", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
@@ -165,11 +208,16 @@ _META_SCHEMA = (
 )
 _META_FILE = "meta.json"
 _ASSIGNMENT_FILE = "assignment.npy"
+_VALUES_FILE = "values.npy"
+_V_STACKED_FILE = "v_stacked.npy"
 
 
-def _block_files(k: int) -> list[tuple[str, str]]:
-    """The (u, v) file names of a k-cluster bundle's blocks, in cluster order."""
-    return [(f"u_{c}.npy", f"v_{c}.npy") for c in range(k)]
+def _array_files(meta: dict) -> list[str]:
+    """A bundle's array files but assignment.npy: format 2's two buffers, or
+    format 1's u_c.npy and v_c.npy for each cluster c."""
+    if meta["format_version"] == 1:
+        return [name for c in range(meta["k"]) for name in (f"u_{c}.npy", f"v_{c}.npy")]
+    return [_VALUES_FILE, _V_STACKED_FILE]
 
 
 def _check_meta(meta, path: str) -> None:
@@ -222,12 +270,15 @@ def save_bundle(
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
         save_index_vector(f.assignment, os.path.join(tmp, _ASSIGNMENT_FILE))
-        for b, (u_file, v_file) in zip(f.blocks, _block_files(f.k)):
-            _write_npy(os.path.join(tmp, u_file), b.u, "<f8")
-            _write_npy(os.path.join(tmp, v_file), b.v, "<f8")
+        _write_npy(os.path.join(tmp, _VALUES_FILE), f.values, "<f8")
+        _write_npy(os.path.join(tmp, _V_STACKED_FILE), f.v_stacked, "<f8")
         if check_bundle_target(directory):  # again, as the path may have changed meanwhile
             old = tempfile.mkdtemp(dir=parent, prefix=".bundle-old-")
-            os.replace(directory, old)
+            try:
+                os.replace(directory, old)
+            except BaseException:
+                os.rmdir(old)
+                raise
             try:
                 os.replace(tmp, directory)
             except BaseException:
@@ -246,7 +297,8 @@ def check_bundle_target(directory) -> bool:
 
     True for a previous bundle: a directory whose meta.json passes
     load_bundle_meta and whose entries are exactly meta.json, assignment.npy
-    and u_c.npy / v_c.npy for each c < k. False for an absent path or an
+    and its format's array files (format 2: values.npy and v_stacked.npy;
+    format 1: u_c.npy and v_c.npy for each c < k). False for an absent path or an
     empty directory. Anything else, a corrupt bundle or a symbolic link
     (named with a trailing slash too) included, is not save_bundle's to
     replace and raises FormatError, so a caller can check before any work.
@@ -264,14 +316,15 @@ def check_bundle_target(directory) -> bool:
             "refusing to replace it"
         )
     try:
-        k = load_bundle_meta(directory)["k"]
+        meta = load_bundle_meta(directory)
     except FormatError as e:
         raise FormatError(f"{directory} is not a bundle ({e}); refusing to replace it") from e
-    names = {_META_FILE, _ASSIGNMENT_FILE, *(name for pair in _block_files(k) for name in pair)}
+    names = {_META_FILE, _ASSIGNMENT_FILE, *_array_files(meta)}
     if entries != names:
         odd = ", ".join(sorted(entries ^ names))
-        raise FormatError(f"{directory} is not a bundle: its files differ from a {k}-cluster "
-                          f"bundle's in {odd}; refusing to replace it")
+        raise FormatError(f"{directory} is not a bundle: its files differ from a format "
+                          f"{meta['format_version']} {meta['k']}-cluster bundle's in {odd}; "
+                          "refusing to replace it")
     return True
 
 
@@ -304,10 +357,14 @@ def load_bundle_meta(directory) -> dict:
 def load_bundle(directory) -> MessiFactorization:
     """Load a bundle directory back into a factorization, verifying invariants.
 
-    Each u_c.npy / v_c.npy body is read straight into its slice of values /
-    v_stacked. Any disagreement between meta and the array shapes on disk,
-    and any violated structural invariant (assignment range, orthonormal v
-    blocks), raises FormatError naming the failing piece.
+    A format-2 bundle's values.npy and v_stacked.npy bodies are mapped
+    read-only, not read: the factorization's two buffers are the mappings, and
+    their pages are read from the page cache as they are first touched. A
+    format-1 bundle's u_c.npy / v_c.npy bodies are read into their slices of
+    two new buffers. Any disagreement between meta and the array shapes on
+    disk, and any violated structural invariant (assignment range, orthonormal
+    v blocks), raises FormatError naming the failing file, before any array
+    is returned.
     """
     directory = os.fspath(directory)
     meta = load_bundle_meta(directory)
@@ -320,21 +377,34 @@ def load_bundle(directory) -> MessiFactorization:
         raise FormatError(f"{path}: {e}") from e
     rows = _cluster_rows(assignment, k)
     sizes = [ids.size for ids in rows]
-    try:  # before any array header is read, a corrupted meta can imply absurd sizes
-        values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
-    except (MemoryError, OverflowError, ValueError) as e:
-        raise FormatError(
-            f"{os.path.join(directory, _META_FILE)}: meta implies arrays too large to allocate: {e}"
-        ) from e
-    files = _block_files(k)
-    for (u, v), (u_file, v_file) in zip(_block_views(values, v_stacked, sizes, dims), files):
-        _read_npy(os.path.join(directory, u_file), ("<f8",), 2, out=u)
-        _read_npy(os.path.join(directory, v_file), ("<f8",), 2, out=v)
+    files = [os.path.join(directory, name) for name in _array_files(meta)]
+    if meta["format_version"] == 1:
+        values, v_stacked = _read_blocks(directory, files, sizes, dims, d)
+        v_files = files[1::2]  # the file of each cluster's v
+    else:
+        values = _map_npy(files[0], (sum(s * j for s, j in zip(sizes, dims)),))
+        v_stacked = _map_npy(files[1], (sum(dims), d))
+        v_files = [files[1]] * k
     try:
         return _grouped(rows, n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
                         values=values, v_stacked=v_stacked)
     except _NotOrthonormal as e:
-        raise FormatError(f"{os.path.join(directory, files[e.block][1])}: {e}") from e
+        raise FormatError(f"{v_files[e.block]}: {e}") from e
+
+
+def _read_blocks(directory, files, sizes, dims, d) -> tuple[np.ndarray, np.ndarray]:
+    """values and v_stacked of a format-1 bundle, each u_c / v_c file (files
+    alternate u_0, v_0, u_1, ...) read straight into its slice of the two."""
+    try:  # before any array header is read, a corrupted meta can imply absurd sizes
+        values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
+    except (MemoryError, OverflowError, ValueError) as e:
+        raise FormatError(f"{os.path.join(directory, _META_FILE)}: meta implies arrays too "
+                          f"large to allocate: {e}") from e
+    for (u, v), u_file, v_file in zip(_block_views(values, v_stacked, sizes, dims),
+                                      files[::2], files[1::2]):
+        _read_npy(u_file, ("<f8",), 2, out=u)
+        _read_npy(v_file, ("<f8",), 2, out=v)
+    return values, v_stacked
 
 
 # ---------------------------------------------------------------- reports

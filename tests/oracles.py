@@ -4,7 +4,8 @@ Most of these reuse none of the library's code paths (which fit subspaces
 from `eigh` of each cluster's Gram matrix): fit costs come from `eigvalsh`
 eigenvalue tails, distances from explicit projection residuals,
 `dense_u` scatters the sparse layer's runs into a dense matrix, and
-`gathered_lookup` multiplies every asked-for row, repeats included. Three drive
+`gathered_lookup` multiplies every asked-for row, repeats included, and
+`save_bundle_v1` writes a bundle in format 1, with numpy's own `np.save`. Three drive
 the library's own steps: `brute_force` enumerates every row partition and
 scores it by Gram eigenvalue tails, then refits the winner with the
 library's M-step; `assign_step` is one nearest-subspace pass of EM's
@@ -13,6 +14,8 @@ check that reuse changes no bit.
 """
 
 import itertools
+import json
+import os
 
 import numpy as np
 
@@ -255,3 +258,19 @@ def gathered_lookup(f, ids) -> np.ndarray:
         sel = np.flatnonzero(clusters == c)
         out[sel] = b.u[f.positions[ids[sel]]] @ b.v
     return out
+
+
+def save_bundle_v1(f, directory, *, seed=0, cost=0.0, iterations=0, converged=True) -> None:
+    """Write f as a format-1 bundle, the layout load_bundle still reads: meta.json
+    with format_version 1, assignment.npy and one u_c.npy and one v_c.npy per cluster."""
+    directory = os.fspath(directory)
+    os.makedirs(directory, exist_ok=True)
+    meta = dict(format_version=1, n=f.n, d=f.d, k=f.k, dims=list(f.dims), q=2.0, seed=seed,
+                cost=cost, iterations=iterations, converged=converged)
+    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    np.save(os.path.join(directory, "assignment.npy"), f.assignment.astype("<i8"))
+    for c, b in enumerate(f.blocks):
+        np.save(os.path.join(directory, f"u_{c}.npy"), b.u.astype("<f8"))
+        np.save(os.path.join(directory, f"v_{c}.npy"), b.v.astype("<f8"))

@@ -1,6 +1,7 @@
 """Tests for NPY parsing, bundle round-trips and CSV reports."""
 
 import json
+import mmap
 import os
 import re
 import struct
@@ -14,6 +15,7 @@ from messi import (
     EmOptions,
     FormatError,
     InputError,
+    MessiFactorization,
     ReportRow,
     build_factorization,
     em_multi_restart,
@@ -21,6 +23,7 @@ from messi import (
     load_bundle_meta,
     load_matrix,
     parse_report,
+    reconstruct,
     render_report,
     save_bundle,
     save_matrix,
@@ -28,6 +31,10 @@ from messi import (
 )
 from messi.cli import main
 from messi.linalg import CHUNK_ROWS
+from oracles import save_bundle_v1
+
+# The writer of each bundle layout: save_bundle's format 2 and the test oracle's format 1.
+LAYOUTS = {"format-2": save_bundle, "format-1": save_bundle_v1}
 
 
 def make_factorization(seed=0, n=12, d=5, k=2, j=2):
@@ -35,6 +42,32 @@ def make_factorization(seed=0, n=12, d=5, k=2, j=2):
     pts = rng.standard_normal((n, d))
     clus = em_multi_restart(pts, k, j, EmOptions(restarts=4, seed=seed))
     return pts, clus, build_factorization(pts, clus)
+
+
+def edit_v(bundle, f, c, edit):
+    """Apply edit in place to cluster c's stored v block, in either layout, and
+    rewrite its file; return the file's name."""
+    if (bundle / "v_stacked.npy").exists():
+        name = "v_stacked.npy"
+        stored = np.load(bundle / name)
+        start = sum(f.dims[:c])
+        edit(stored[start : start + f.dims[c]])
+    else:
+        name = f"v_{c}.npy"
+        stored = np.load(bundle / name)
+        edit(stored)
+    mio._write_npy(bundle / name, stored, "<f8")
+    return name
+
+
+def nan_first(v):
+    v[0, 0] = np.nan
+
+
+def npy_body(path) -> bytes:
+    """The bytes of an NPY 1.0 file after its header."""
+    raw = path.read_bytes()
+    return raw[10 + struct.unpack("<H", raw[8:10])[0]:]
 
 
 class TestMatrixRoundTrip:
@@ -92,6 +125,19 @@ class TestMatrixRoundTrip:
         save(value, path)
         golden = b"\x93NUMPY\x01\x00\x76\x00" + header.encode("latin1") + b"\n"
         assert path.read_bytes() == golden + value.tobytes()
+
+    @pytest.mark.parametrize("value", [[0.9, 1.6, True], np.array([True, False]),
+                                       np.array([2**63], dtype=np.uint64), np.zeros((2, 2), int)],
+                             ids=["float-list", "bool-array", "uint64-2**63", "2-d"])
+    def test_index_vector_refuses_what_it_would_cast(self, tmp_path, value):
+        path = tmp_path / "a.npy"
+        with pytest.raises(FormatError, match="index vector"):
+            mio.save_index_vector(value, path)
+        assert not path.exists()
+
+    def test_empty_index_vector_saved(self, tmp_path):
+        mio.save_index_vector([], tmp_path / "a.npy")
+        assert mio.load_index_vector(tmp_path / "a.npy").shape == (0,)
 
 
 class TestNpyRejection:
@@ -244,6 +290,86 @@ class TestBundleRoundTrip:
         assert back.block_sizes() == (4, 0)
         assert back.blocks[1].u.shape == (0, 1)
 
+    def test_buffer_files_hold_the_blocks_back_to_back(self, tmp_path):
+        _, clus, fact = make_factorization(seed=5, k=3)
+        save_bundle(fact, tmp_path / "b", cost=clus.cost)
+        assert sorted(os.listdir(tmp_path / "b")) == [
+            "assignment.npy", "meta.json", "v_stacked.npy", "values.npy"]
+        assert npy_body(tmp_path / "b" / "values.npy") == b"".join(b.u.tobytes() for b in fact.blocks)
+        assert npy_body(tmp_path / "b" / "v_stacked.npy") == b"".join(
+            b.v.tobytes() for b in fact.blocks)
+
+    def test_loaded_buffers_are_read_only_file_mappings(self, tmp_path):
+        _, clus, fact = make_factorization(seed=5)
+        save_bundle(fact, tmp_path / "b", cost=clus.cost)
+        back = load_bundle(tmp_path / "b")
+        for arr in (back.values, back.v_stacked):
+            assert not arr.flags.writeable
+            base = arr
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj, mmap.mmap)
+
+    def test_format_1_bundle_loads_bit_identical_and_is_replaced(self, tmp_path):
+        _, clus, fact = make_factorization(seed=5, k=3)
+        save_bundle_v1(fact, tmp_path / "v1", cost=clus.cost, seed=5)
+        save_bundle(fact, tmp_path / "v2", cost=clus.cost, seed=5)
+        old, new = load_bundle(tmp_path / "v1"), load_bundle(tmp_path / "v2")
+        for name in ("assignment", "values", "v_stacked", "positions"):
+            assert getattr(old, name).tobytes() == getattr(new, name).tobytes(), name
+        assert (old.n, old.d, old.k, old.dims) == (new.n, new.d, new.k, new.dims)
+        assert load_bundle_meta(tmp_path / "v1")["format_version"] == 1
+        assert mio.check_bundle_target(tmp_path / "v1") is True
+        save_bundle(fact, tmp_path / "v1", cost=clus.cost, seed=6)
+        assert sorted(os.listdir(tmp_path / "v1")) == sorted(os.listdir(tmp_path / "v2"))
+        assert load_bundle_meta(tmp_path / "v1") == {**load_bundle_meta(tmp_path / "v2"), "seed": 6}
+        assert sorted(os.listdir(tmp_path)) == ["v1", "v2"]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_empty_values_round_trip(self, tmp_path, layout):
+        fact = MessiFactorization(n=3, d=2, k=1, dims=(0,), assignment=np.zeros(3, dtype=int),
+                                  values=np.empty(0), v_stacked=np.empty((0, 2)))
+        LAYOUTS[layout](fact, tmp_path / "b")
+        back = load_bundle(tmp_path / "b")
+        assert back.values.shape == (0,) and back.v_stacked.shape == (0, 2)
+        assert back.assignment.tobytes() == fact.assignment.tobytes()
+        assert reconstruct(back).tobytes() == np.zeros((3, 2)).tobytes()
+
+    @pytest.mark.parametrize("layout, edit, odd", [
+        ("format-2", lambda b: (b / "u_0.npy").write_bytes((b / "values.npy").read_bytes()),
+         "u_0.npy"),
+        ("format-1", lambda b: (b / "v_1.npy").unlink(), "v_1.npy"),
+    ], ids=["format-2-stray-u_0", "format-1-missing-v_1"])
+    def test_check_bundle_target_matches_the_layout(self, tmp_path, layout, edit, odd):
+        _, clus, fact = make_factorization(seed=14)
+        bundle = tmp_path / "b"
+        LAYOUTS[layout](fact, bundle, cost=clus.cost)
+        edit(bundle)
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        with pytest.raises(FormatError, match=f"not a bundle: .* in {odd}; refusing"):
+            mio.check_bundle_target(bundle)
+        with pytest.raises(FormatError, match="not a bundle"):
+            save_bundle(fact, bundle, cost=clus.cost)
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+
+    def test_failed_move_aside_leaves_target_and_no_staging(self, tmp_path, monkeypatch):
+        _, clus, fact = make_factorization(seed=6)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost, seed=1)
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        real = os.replace
+
+        def refuse_moving_the_target(src, dst):
+            if os.fspath(src) == str(bundle):
+                raise OSError("device busy")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_moving_the_target)
+        with pytest.raises(OSError, match="device busy"):
+            save_bundle(fact, bundle, cost=clus.cost, seed=2)
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+        assert os.listdir(tmp_path) == ["b"]
+
     def test_overwrite_previous_bundle(self, tmp_path):
         _, clus, fact = make_factorization(seed=6)
         bundle = tmp_path / "b"
@@ -310,32 +436,30 @@ class TestBundleRoundTrip:
 
     def test_array_tamper_detected(self, tmp_path):
         _, clus, fact = make_factorization(seed=8)
-        bundle = tmp_path / "b"
-        save_bundle(fact, bundle, cost=clus.cost)
-        v = np.full((2, 5), 0.5)
-        mio._write_npy(bundle / "v_0.npy", v, "<f8")
-        with pytest.raises(FormatError, match="invariant|orthonormal"):
-            load_bundle(bundle)
+        for layout, save in LAYOUTS.items():
+            bundle = tmp_path / layout
+            save(fact, bundle, cost=clus.cost)
+            edit_v(bundle, fact, 0, lambda v: v.fill(0.5))
+            with pytest.raises(FormatError, match="invariant|orthonormal"):
+                load_bundle(bundle)
 
     def test_nan_in_basis_rejected(self, tmp_path):
         _, clus, fact = make_factorization(seed=8)
-        bundle = tmp_path / "b"
-        save_bundle(fact, bundle, cost=clus.cost)
-        v = np.load(bundle / "v_0.npy")
-        v[0, 0] = np.nan
-        mio._write_npy(bundle / "v_0.npy", v, "<f8")
-        with pytest.raises(FormatError, match="orthonormal"):
-            load_bundle(bundle)
+        for layout, save in LAYOUTS.items():
+            bundle = tmp_path / layout
+            save(fact, bundle, cost=clus.cost)
+            edit_v(bundle, fact, 0, nan_first)
+            with pytest.raises(FormatError, match="orthonormal"):
+                load_bundle(bundle)
 
     def test_bad_basis_names_the_file(self, tmp_path):
         _, clus, fact = make_factorization(seed=8)
-        bundle = tmp_path / "b"
-        save_bundle(fact, bundle, cost=clus.cost)
-        v = np.load(bundle / "v_1.npy")
-        v[0, 0] = np.nan
-        mio._write_npy(bundle / "v_1.npy", v, "<f8")
-        with pytest.raises(FormatError, match="v_1.npy: .*orthonormal"):
-            load_bundle(bundle)
+        for layout, save in LAYOUTS.items():
+            bundle = tmp_path / layout
+            save(fact, bundle, cost=clus.cost)
+            name = edit_v(bundle, fact, 1, nan_first)
+            with pytest.raises(FormatError, match=f"{name}: block 1 .*orthonormal"):
+                load_bundle(bundle)
 
     @pytest.mark.parametrize("tamper", [
         lambda a, k: np.where(a == a[0], k, a),  # an id equal to k
@@ -351,35 +475,52 @@ class TestBundleRoundTrip:
         with pytest.raises(FormatError, match="assignment.npy: "):
             load_bundle(bundle)
 
+    # u_c.npy / v_c.npy are format-1 files, values.npy / v_stacked.npy format-2 ones.
     @pytest.mark.parametrize("name, tamper, match", [
         ("u_1.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), "data truncated"),
         ("v_0.npy", lambda path: path.write_bytes(path.read_bytes() + b"\x00"), "trailing bytes"),
         ("u_0.npy", lambda path: mio._write_npy(path, np.load(path)[:-1], "<f8"), "meta implies"),
+        ("values.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), "data truncated"),
+        ("v_stacked.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]),
+         "data truncated"),
+        ("values.npy", lambda path: path.write_bytes(path.read_bytes() + b"\x00"),
+         "trailing bytes"),
+        ("v_stacked.npy", lambda path: path.write_bytes(path.read_bytes() + b"\x00"),
+         "trailing bytes"),
+        ("values.npy", lambda path: mio._write_npy(path, np.load(path)[:-1], "<f8"),
+         "meta implies"),
+        ("v_stacked.npy", lambda path: mio._write_npy(path, np.load(path)[:-1], "<f8"),
+         "meta implies"),
     ])
     def test_array_file_corruption_names_the_file(self, tmp_path, name, tamper, match):
         _, clus, fact = make_factorization(seed=15)
         assert min(fact.block_sizes()) > 0
         bundle = tmp_path / "b"
-        save_bundle(fact, bundle, cost=clus.cost)
+        save = save_bundle if name in ("values.npy", "v_stacked.npy") else save_bundle_v1
+        save(fact, bundle, cost=clus.cost)
         tamper(bundle / name)
         with pytest.raises(FormatError, match=f"{name}: .*{match}"):
             load_bundle(bundle)
 
     @pytest.mark.parametrize("key, value", [("d", 10**13), ("dims", [10**20, 2])])
     def test_meta_implying_huge_arrays_rejected(self, tmp_path, key, value):
+        # Format 1 allocates the buffers before it reads a header; format 2
+        # allocates none, and a mapped file's header must match meta's shape.
         _, clus, fact = make_factorization(seed=16)
-        bundle = tmp_path / "b"
-        save_bundle(fact, bundle, cost=clus.cost)
-        meta = json.loads((bundle / "meta.json").read_text())
-        meta[key] = value
-        (bundle / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match="too large to allocate"):
-            load_bundle(bundle)
+        for layout, match in (("format-1", "too large to allocate"),
+                              ("format-2", r"(values|v_stacked)\.npy: .*meta implies")):
+            bundle = tmp_path / layout
+            LAYOUTS[layout](fact, bundle, cost=clus.cost)
+            meta = json.loads((bundle / "meta.json").read_text())
+            meta[key] = value
+            (bundle / "meta.json").write_text(json.dumps(meta))
+            with pytest.raises(FormatError, match=match):
+                load_bundle(bundle)
 
     def test_huge_arrays_error_names_meta(self, tmp_path):
         _, clus, fact = make_factorization(seed=16)
         bundle = tmp_path / "b"
-        save_bundle(fact, bundle, cost=clus.cost)
+        save_bundle_v1(fact, bundle, cost=clus.cost)  # format 2 allocates no buffer
         meta = json.loads((bundle / "meta.json").read_text())
         meta["d"] = 10**13
         (bundle / "meta.json").write_text(json.dumps(meta))
@@ -388,11 +529,12 @@ class TestBundleRoundTrip:
 
     def test_missing_array_file(self, tmp_path):
         _, clus, fact = make_factorization(seed=11)
-        bundle = tmp_path / "b"
-        save_bundle(fact, bundle, cost=clus.cost)
-        (bundle / "u_1.npy").unlink()
-        with pytest.raises(FormatError, match="u_1"):
-            load_bundle(bundle)
+        for (layout, save), name in zip(LAYOUTS.items(), ("values.npy", "u_1.npy")):
+            bundle = tmp_path / layout
+            save(fact, bundle, cost=clus.cost)
+            (bundle / name).unlink()
+            with pytest.raises(FormatError, match=name):
+                load_bundle(bundle)
 
     def test_missing_meta_key(self, tmp_path):
         _, clus, fact = make_factorization(seed=9)

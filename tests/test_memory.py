@@ -1,5 +1,5 @@
 """Bounded-memory checks: fits, costs and factor builds read a cluster's rows in fixed chunks,
-and reconstruct multiplies each u block in place.
+reconstruct multiplies each u block in place, and load_bundle maps a bundle's buffers.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 counts every temporary array it makes. A cluster of n_c rows gathered whole
@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from messi import Clustering, build_factorization, clustering_cost, reconstruct, refit_step
+from messi import (Clustering, build_factorization, clustering_cost, load_bundle, reconstruct,
+                   refit_step, save_bundle)
 from messi.cluster import _refit
 from messi.linalg import CHUNK_ROWS
 
@@ -75,3 +76,22 @@ def test_reconstruct_gathers_no_block(instance):
     assert slack < largest * J * 8
     out, peak = traced_peak(lambda: reconstruct(f))
     assert peak < out.nbytes + largest * D * 8 + slack
+
+
+def test_load_bundle_maps_the_buffers(tmp_path):
+    """A format-2 load allocates a few length-n index vectors and the j x j
+    products of the orthonormality checks, not a copy of values: its buffers
+    are mappings of the bundle's files. At this shape values is 16 MB, the
+    index vectors about 0.2 MB each and the checks' products 80 kB."""
+    rng = np.random.default_rng(3)
+    n, d, j = 20000, 128, 100
+    points = rng.standard_normal((n, d))
+    assignment = np.arange(n) % 2
+    clustering = Clustering(k=2, assignment=assignment,
+                            subspaces=tuple(refit_step(points, assignment, 2, j)),
+                            cost=0.0, iterations=0, converged=True)
+    f = build_factorization(points, clustering, threads=1)
+    save_bundle(f, tmp_path / "b")
+    back, peak = traced_peak(lambda: load_bundle(tmp_path / "b"))
+    assert back.values.tobytes() == f.values.tobytes()
+    assert peak < f.values.nbytes / 10
