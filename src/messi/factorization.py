@@ -180,18 +180,6 @@ class SparseAssembly:
         """Structural nonzero count of each U row."""
         return self.dims[self.assignment]
 
-    def product(self) -> np.ndarray:
-        """U_sparse @ V_stacked from the sparse rows only: one GEMM per cluster,
-        over the cluster's runs as one contiguous slice of values."""
-        out = np.zeros((self.n, self.v_stacked.shape[1]))
-        for c, (start, width) in enumerate(zip(self.offsets, self.dims)):
-            rows = np.flatnonzero(self.assignment == c)
-            if width and rows.size:
-                base = self.row_starts[rows[0]]
-                runs = self.values[base : base + rows.size * width].reshape(rows.size, width)
-                out[rows] = runs @ self.v_stacked[start : start + width]
-        return out
-
 
 def build_factorization(a, clustering: Clustering, threads: int = 1) -> MessiFactorization:
     """Group rows by cluster and factor each group over its fitted subspace.

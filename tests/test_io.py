@@ -4,6 +4,7 @@ import json
 import mmap
 import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -60,6 +61,31 @@ def edit_v(bundle, f, c, edit):
     return name
 
 
+@pytest.fixture
+def durability_calls(monkeypatch):
+    """Record, in order, each os.fsync (by the inode synced), os.replace and
+    shutil.rmtree call, each still made."""
+    calls = []
+    fsync, replace, rmtree = os.fsync, os.replace, shutil.rmtree
+
+    def record_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        calls.append(("replace", os.fspath(src), os.fspath(dst)))
+        replace(src, dst)
+
+    def record_rmtree(path, *args, **kwargs):
+        calls.append(("rmtree", os.fspath(path)))
+        rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    monkeypatch.setattr(shutil, "rmtree", record_rmtree)
+    return calls
+
+
 def nan_first(v):
     v[0, 0] = np.nan
 
@@ -101,6 +127,28 @@ class TestMatrixRoundTrip:
         path = tmp_path / "m.npy"
         np.save(path, m)
         np.testing.assert_array_equal(load_matrix(path), m)
+
+    @pytest.mark.parametrize("descr", ["<f8", "<f4"])
+    def test_loaded_matrix_is_read_only(self, tmp_path, descr):
+        path = tmp_path / "m.npy"
+        np.save(path, np.arange(6.0).reshape(2, 3).astype(descr))
+        m = load_matrix(path)
+        assert m.dtype == np.float64 and not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+
+    def test_loaded_index_vector_is_read_only(self, tmp_path):
+        mio.save_index_vector([3, 1, 2], tmp_path / "a.npy")
+        v = mio.load_index_vector(tmp_path / "a.npy")
+        assert v.tolist() == [3, 1, 2] and not v.flags.writeable
+
+    def test_saved_matrix_is_synced_before_and_after_its_rename(self, tmp_path, durability_calls):
+        path = tmp_path / "m.npy"
+        save_matrix(np.ones((2, 2)), path)
+        (_, tmp, dst), = [call for call in durability_calls if call[0] == "replace"]
+        assert dst == str(path)
+        assert durability_calls == [("fsync", path.stat().st_ino), ("replace", tmp, dst),
+                                    ("fsync", tmp_path.stat().st_ino)]
 
     def test_float32_widened_exactly(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -370,6 +418,44 @@ class TestBundleRoundTrip:
         assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
         assert os.listdir(tmp_path) == ["b"]
 
+    @pytest.mark.parametrize("rollback_fails", [False, True])
+    def test_failed_swap_never_deletes_the_old_bundle(self, tmp_path, monkeypatch,
+                                                      rollback_fails):
+        _, clus, fact = make_factorization(seed=6)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost, seed=1)
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        real = os.replace
+
+        def refuse_filling_the_target(src, dst):
+            if os.fspath(dst) == str(bundle) and (rollback_fails or os.path.basename(src) != "old"):
+                raise OSError("device busy")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_filling_the_target)
+        with pytest.raises(OSError, match="device busy"):
+            save_bundle(fact, bundle, cost=clus.cost, seed=2)
+        if rollback_fails:  # the old bundle stays where it was moved aside
+            (bundle,) = tmp_path.glob(".bundle-*/old")
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+        assert len(os.listdir(tmp_path)) == 1
+
+    def test_bundle_is_synced_before_the_old_one_is_deleted(self, tmp_path, durability_calls):
+        _, clus, fact = make_factorization(seed=6)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost, seed=1)
+        del durability_calls[:]
+        save_bundle(fact, bundle, cost=clus.cost, seed=2)
+        *before_swap, swap, sync_parent, delete_old = durability_calls
+        move_aside = [call for call in before_swap if call[0] == "replace"][-1]
+        assert swap[0] == "replace" and move_aside[1] == swap[2] == str(bundle)
+        assert sync_parent == ("fsync", tmp_path.stat().st_ino)
+        assert delete_old[0] == "rmtree" and move_aside[2].startswith(delete_old[1] + os.sep)
+        # Every file of the new bundle, and its directory, was synced before the swap.
+        synced = {call[1] for call in before_swap if call[0] == "fsync"}
+        assert {p.stat().st_ino for p in [bundle, *bundle.iterdir()]} <= synced
+        assert os.listdir(tmp_path) == ["b"]
+
     def test_overwrite_previous_bundle(self, tmp_path):
         _, clus, fact = make_factorization(seed=6)
         bundle = tmp_path / "b"
@@ -504,28 +590,18 @@ class TestBundleRoundTrip:
 
     @pytest.mark.parametrize("key, value", [("d", 10**13), ("dims", [10**20, 2])])
     def test_meta_implying_huge_arrays_rejected(self, tmp_path, key, value):
-        # Format 1 allocates the buffers before it reads a header; format 2
-        # allocates none, and a mapped file's header must match meta's shape.
+        # Every header is checked against meta's shapes before any buffer is
+        # allocated, so the refusal names the first file at fault in either layout.
+        at_fault = {"d": ("v_stacked.npy", "v_0.npy"), "dims": ("values.npy", "u_0.npy")}[key]
         _, clus, fact = make_factorization(seed=16)
-        for layout, match in (("format-1", "too large to allocate"),
-                              ("format-2", r"(values|v_stacked)\.npy: .*meta implies")):
+        for layout, name in zip(LAYOUTS, at_fault):
             bundle = tmp_path / layout
             LAYOUTS[layout](fact, bundle, cost=clus.cost)
             meta = json.loads((bundle / "meta.json").read_text())
             meta[key] = value
             (bundle / "meta.json").write_text(json.dumps(meta))
-            with pytest.raises(FormatError, match=match):
+            with pytest.raises(FormatError, match=rf"{layout}/{name}: has shape .*, meta implies"):
                 load_bundle(bundle)
-
-    def test_huge_arrays_error_names_meta(self, tmp_path):
-        _, clus, fact = make_factorization(seed=16)
-        bundle = tmp_path / "b"
-        save_bundle_v1(fact, bundle, cost=clus.cost)  # format 2 allocates no buffer
-        meta = json.loads((bundle / "meta.json").read_text())
-        meta["d"] = 10**13
-        (bundle / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match="meta.json: meta implies arrays too large"):
-            load_bundle(bundle)
 
     def test_missing_array_file(self, tmp_path):
         _, clus, fact = make_factorization(seed=11)

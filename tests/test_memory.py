@@ -1,5 +1,5 @@
 """Bounded-memory checks: fits, costs and factor builds read a cluster's rows in fixed chunks,
-reconstruct multiplies each u block in place, and load_bundle maps a bundle's buffers.
+reconstruct multiplies each u block in place, and load_matrix and load_bundle map their files.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 counts every temporary array it makes. A cluster of n_c rows gathered whole
@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from messi import (Clustering, build_factorization, clustering_cost, load_bundle, reconstruct,
-                   refit_step, save_bundle)
+from messi import (Clustering, build_factorization, clustering_cost, load_bundle, load_matrix,
+                   reconstruct, refit_step, save_bundle, save_matrix)
 from messi.cluster import _refit
 from messi.linalg import CHUNK_ROWS
 
@@ -95,3 +95,13 @@ def test_load_bundle_maps_the_buffers(tmp_path):
     back, peak = traced_peak(lambda: load_bundle(tmp_path / "b"))
     assert back.values.tobytes() == f.values.tobytes()
     assert peak < f.values.nbytes / 10
+
+
+def test_load_matrix_maps_a_float64_body(tmp_path):
+    """A "<f8" matrix is its file's mapping: the load and its finiteness check
+    allocate no copy of the 20 MB body."""
+    m = np.random.default_rng(4).standard_normal((20000, 128))
+    save_matrix(m, tmp_path / "m.npy")
+    back, peak = traced_peak(lambda: load_matrix(tmp_path / "m.npy"))
+    assert back.tobytes() == m.tobytes()
+    assert peak < m.nbytes / 10
