@@ -6,7 +6,6 @@ Exit codes: 0 on success, 2 on usage errors, 1 on runtime failures.
 
 from __future__ import annotations
 
-import functools
 import os
 
 import click
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import io as bundle_io
 from .cluster import INIT_METHODS, EmOptions, allocate_dims, em_multi_restart, em_run
-from .errors import MessiError
+from .errors import InputError, MessiError
 from .evalgen import (
     SweepSpec,
     SynthSpec,
@@ -41,22 +40,17 @@ def _parse_list(value: str, name: str, kind: type, valid, bounds: str) -> list:
     return items
 
 
-def _runtime_errors(fn):
-    """Map library and OS errors to exit code 1 (usage errors stay at 2)."""
+class _MessiGroup(click.Group):
+    """The command group: every command's library and OS errors exit 1 (usage errors stay at 2)."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
+            return super().invoke(ctx)
         except (MessiError, OSError) as e:
             raise click.ClickException(str(e))
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_MessiGroup)
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=42, show_default=True,
               help="Base RNG seed.")
 @click.option("--threads", type=int, default=None,
@@ -101,7 +95,6 @@ def _progress(ctx_obj):
 @click.option("--output", required=True, type=click.Path(file_okay=False),
               help="Bundle directory to write.")
 @click.pass_obj
-@_runtime_errors
 def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, init,
              dims_auto, output):
     """Cluster the rows of a matrix and write the factorization bundle."""
@@ -147,7 +140,6 @@ def compress(obj, input_path, k, j, budget, restarts, max_iters, tol, init,
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
               help="Optional CSV to write alongside the printed summary.")
 @click.pass_obj
-@_runtime_errors
 def evaluate(obj, input_path, bundle_dir, report_path):
     """Measure reconstruction error of a bundle against its source matrix."""
     a = bundle_io.load_matrix(input_path)
@@ -157,7 +149,11 @@ def evaluate(obj, input_path, bundle_dir, report_path):
         raise click.ClickException(
             f"bundle is {fact.n}x{fact.d} but matrix is {a.shape[0]}x{a.shape[1]}"
         )
-    absolute, relative = frobenius_error(a, reconstruct(fact))
+    try:
+        absolute, relative = frobenius_error(a, reconstruct(fact))
+    except InputError:  # a is finite, as load_matrix checked, so the bundle is at fault
+        raise click.ClickException(f"bundle {bundle_dir} reconstructs to non-finite entries "
+                                   "(its values.npy holds a NaN or an infinity, or overflows)")
     click.echo(f"frobenius_error={absolute:.17g}")
     click.echo(f"relative_error={relative:.17g}")
     residual_sq = absolute * absolute
@@ -190,7 +186,6 @@ def evaluate(obj, input_path, bundle_dir, report_path):
 @click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--output", required=True, type=click.Path(dir_okay=False), help="CSV to write.")
 @click.pass_obj
-@_runtime_errors
 def sweep(obj, input_path, k_text, rate_text, budget_text, restarts, output):
     """Run the error-versus-budget grid and write the report CSV."""
     if (rate_text is None) == (budget_text is None):
@@ -220,20 +215,17 @@ def sweep(obj, input_path, k_text, rate_text, budget_text, restarts, output):
 @click.option("--j-true", type=int, default=1, show_default=True)
 @click.option("--noise", type=float, default=0.05, show_default=True,
               help="Gaussian noise scale per coordinate.")
-@click.option("--spread", type=float, default=1.0, show_default=True,
-              help="Scale of the coefficients along each subspace.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Override the global --seed.")
 @click.option("--output", required=True, type=click.Path(dir_okay=False))
 @click.option("--labels", "labels_path", type=click.Path(dir_okay=False), default=None,
               help="Optional path for the ground-truth assignment (.npy).")
 @click.pass_obj
-@_runtime_errors
-def synth(obj, n, d, k_true, j_true, noise, spread, seed, output, labels_path):
+def synth(obj, n, d, k_true, j_true, noise, seed, output, labels_path):
     """Generate a planted-subspace matrix (defaults: 120 points around 3 lines in 3-space)."""
     try:
         spec = SynthSpec(
-            n=n, d=d, k_true=k_true, j_true=j_true, noise_sigma=noise, spread=spread,
+            n=n, d=d, k_true=k_true, j_true=j_true, noise_sigma=noise,
             seed=obj["seed"] if seed is None else seed,
         )
     except MessiError as e:
@@ -249,7 +241,6 @@ def synth(obj, n, d, k_true, j_true, noise, spread, seed, output, labels_path):
 @click.option("--bundle", "bundle_dir", required=True,
               type=click.Path(exists=True, file_okay=False))
 @click.pass_obj
-@_runtime_errors
 def inspect(obj, bundle_dir):
     """Print a bundle's metadata, block sizes and sparsity pattern summary."""
     fact = bundle_io.load_bundle(bundle_dir)

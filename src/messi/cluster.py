@@ -368,11 +368,11 @@ def em_multi_restart(points, k: int, j: int | Sequence[int], opts: EmOptions,
 
 
 def allocate_dims(points, assignment, total_dims: int, k: int) -> list[int]:
-    """Greedy split of a total dimension budget across clusters.
+    """Split of a total dimension budget across clusters, by largest tail eigenvalue.
 
-    Every cluster starts at one dimension; each remaining dimension goes to
-    the cluster whose next unused squared singular value is largest (ties to
-    the lowest cluster index), which is optimal because spectra are sorted.
+    Every cluster starts at one dimension; the other total_dims - k go to the
+    largest squared singular values past each cluster's first (ties to the
+    lower cluster). Spectra are sorted, so this is the optimal greedy split.
     """
     points = as_matrix(points)
     n, d = points.shape
@@ -389,9 +389,5 @@ def allocate_dims(points, assignment, total_dims: int, k: int) -> list[int]:
             if ids.size:
                 spectra[c] = _gram_eigh(_gram(points, ids))[0]
 
-    dims = [1] * k
-    for _ in range(total_dims - k):
-        gains = [spectra[c, dims[c]] if dims[c] < d else -np.inf for c in range(k)]
-        c = int(np.argmax(gains))
-        dims[c] += 1
-    return dims
+    picked = np.argsort(-spectra[:, 1:], axis=None, kind="stable")[:total_dims - k]
+    return (1 + np.bincount(picked // max(d - 1, 1), minlength=k)).tolist()

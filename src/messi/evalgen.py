@@ -25,8 +25,6 @@ from .factorization import build_factorization, equal_budget_j, reconstruct
 from .io import ReportRow
 from .linalg import as_matrix
 
-SweepReport = list[ReportRow]
-
 
 def frobenius_error(a, a_hat) -> tuple[float, float]:
     """(absolute, relative) Frobenius error between a matrix and its reconstruction.
@@ -50,8 +48,8 @@ def frobenius_error(a, a_hat) -> tuple[float, float]:
 class SynthSpec:
     """Planted-subspace model: k_true random j_true-dim subspaces, rows round-robin.
 
-    Each row is a uniform[-spread, spread] coefficient combination of its
-    subspace's basis plus isotropic Gaussian noise of scale noise_sigma.
+    Each row is a uniform[-1, 1] coefficient combination of its subspace's
+    basis plus isotropic Gaussian noise of scale noise_sigma (finite, >= 0).
     """
 
     n: int
@@ -59,7 +57,6 @@ class SynthSpec:
     k_true: int
     j_true: int
     noise_sigma: float = 0.0
-    spread: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -69,10 +66,8 @@ class SynthSpec:
             raise ParameterError(f"k_true must be >= 1, got {self.k_true}")
         if not 1 <= self.j_true <= self.d:
             raise ParameterError(f"j_true must lie in [1, {self.d}], got {self.j_true}")
-        if self.noise_sigma < 0:
-            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.spread > 0:
-            raise ParameterError(f"spread must be > 0, got {self.spread}")
+        if not 0 <= self.noise_sigma < math.inf:  # also NaN
+            raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def generate_planted(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +87,7 @@ def generate_planted(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
         signs[signs == 0] = 1.0
         bases.append((q * signs).T)
     assignment = np.arange(spec.n, dtype=np.int64) % spec.k_true
-    coeffs = rng.uniform(-spec.spread, spec.spread, size=(spec.n, spec.j_true))
+    coeffs = rng.uniform(-1.0, 1.0, size=(spec.n, spec.j_true))
     noise = rng.standard_normal((spec.n, spec.d)) * spec.noise_sigma
     a = np.empty((spec.n, spec.d))
     for c in range(spec.k_true):
@@ -126,7 +121,7 @@ class SweepSpec:
             raise ParameterError("budget_list must be nonempty")
 
 
-def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> SweepReport:
+def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> list[ReportRow]:
     """Evaluate every (k, budget) cell of spec and return rows ordered by (k, budget).
 
     For each cell the uniform dimension is the largest fitting the budget;

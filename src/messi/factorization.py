@@ -200,11 +200,12 @@ def build_factorization(a, clustering: Clustering, threads: int = 1) -> MessiFac
     sizes, dims = [ids.size for ids in rows], [s.dim for s in clustering.subspaces]
     values = np.empty(np.dot(sizes, dims))
     views = _block_views(values, clustering.bases, sizes, dims)
-    # One unit per (cluster, chunk): the chunk's row ids, its basis and its rows of u.
-    units = [(ids[s : s + CHUNK_ROWS], v, u[s : s + CHUNK_ROWS])
-             for ids, (u, v) in zip(rows, views) for s in range(0, ids.size, CHUNK_ROWS)]
+    vts = [np.ascontiguousarray(v.T) for _, v in views]  # once per cluster, not per chunk
+    # One unit per (cluster, chunk): the chunk's row ids, its basis_c.T and its rows of u.
+    units = [(ids[s : s + CHUNK_ROWS], vt, u[s : s + CHUNK_ROWS])
+             for ids, (u, _), vt in zip(rows, views, vts) for s in range(0, ids.size, CHUNK_ROWS)]
     with _one_blas_thread, _units(threads) as run:
-        run(lambda unit: np.matmul(a[unit[0]], np.ascontiguousarray(unit[1].T), out=unit[2]), units)
+        run(lambda unit: np.matmul(a[unit[0]], unit[1], out=unit[2]), units)
     return _grouped(rows, n=n, d=d, k=clustering.k, dims=dims, assignment=clustering.assignment,
                     values=values, v_stacked=clustering.bases)
 

@@ -125,15 +125,14 @@ def save_matrix(m, path) -> None:
 def save_index_vector(v, path) -> None:
     """Write a 1-d integer array (assignments, labels) as "<i8" NPY 1.0.
 
-    Floats and bools are refused rather than cast (an empty list passes), and
-    so is an unsigned value beyond the "<i8" range rather than wrapped.
+    The ids pass linalg._check_ids, the rule load_bundle applies on read:
+    floats and bools are refused rather than cast (an empty list passes), and
+    so is a negative id or one beyond the "<i8" range, as a FormatError.
     """
-    a = np.asarray(v)
-    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
-        raise FormatError(f"can only save 1-d integer index vectors, "
-                          f"got shape {a.shape} of dtype {a.dtype}")
-    if a.size and a.dtype.kind == "u" and a.max() > np.iinfo(np.int64).max:
-        raise FormatError(f"index vector value {a.max()} does not fit in <i8")
+    try:
+        a = _check_ids(v, 2**63, "index vector")
+    except MessiError as e:
+        raise FormatError(str(e)) from e
     _write_npy(path, a, "<i8")
 
 

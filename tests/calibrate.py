@@ -32,7 +32,7 @@ def main():
     p506 = rng.standard_normal((50, 6))
     print("50x6 seed11 j=2 cost:", repr(gram_eig_tail(p506, 2)))
 
-    spec = messi.SynthSpec(n=120, d=3, k_true=3, j_true=1, noise_sigma=0.05, spread=1.0, seed=7)
+    spec = messi.SynthSpec(n=120, d=3, k_true=3, j_true=1, noise_sigma=0.05, seed=7)
     a, _ = messi.generate_planted(spec)
     print("planted(120,3,3,1,0.05,1,7) sha256:", hashlib.sha256(a.tobytes()).hexdigest())
 

@@ -4,8 +4,9 @@ Most of these reuse none of the library's code paths (which fit subspaces
 from `eigh` of each cluster's Gram matrix): fit costs come from `eigvalsh`
 eigenvalue tails, distances from explicit projection residuals,
 `dense_u` scatters the sparse layer's runs into a dense matrix, and
-`gathered_lookup` multiplies every asked-for row, repeats included, and
-`save_bundle_v1` writes a bundle in format 1, with numpy's own `np.save`. Three drive
+`gathered_lookup` multiplies every asked-for row, repeats included,
+`greedy_dims` splits dims by one argmax per dim, and `save_bundle_v1`
+writes a bundle in format 1, with numpy's own `np.save`. Three drive
 the library's own steps: `brute_force` enumerates every row partition and
 scores it by Gram eigenvalue tails, then refits the winner with the
 library's M-step; `assign_step` is one nearest-subspace pass of EM's
@@ -91,6 +92,18 @@ def best_dim_composition_cost(points, assignment, k: int, total_dims: int) -> fl
         cost = sum(tails[c][j] for c, j in enumerate(combo))
         best = min(best, cost)
     return float(best)
+
+
+def greedy_dims(spectra, total_dims: int) -> list[int]:
+    """The reference dim split: from one dim per cluster, each further dim goes to
+    the cluster whose next eigenvalue (row of spectra, descending) is largest,
+    ties to the lowest cluster, one argmax per dim; a full cluster bids -inf."""
+    k, d = spectra.shape
+    dims = [1] * k
+    for _ in range(total_dims - k):
+        gains = [spectra[c, dims[c]] if dims[c] < d else -np.inf for c in range(k)]
+        dims[int(np.argmax(gains))] += 1
+    return dims
 
 
 def canonical_partition(assignment) -> tuple:

@@ -128,7 +128,7 @@ def _criterion_3_instance(i: int):
         j = int(rng.integers(1, min(8, d) + 1))
     if i % 2 == 1 and n >= k * j:
         spec = SynthSpec(n=n, d=d, k_true=k, j_true=j, noise_sigma=0.05,
-                         spread=1.0, seed=2000 + i)
+                         seed=2000 + i)
         a, _ = generate_planted(spec)
     else:
         a = rng.standard_normal((n, d))
@@ -219,7 +219,7 @@ FROZEN_MARGIN_5 = 3.5  # measured 3.99x at freeze time
 
 def run_criterion_5(threads: int):
     spec = SynthSpec(n=120, d=3, k_true=3, j_true=1, noise_sigma=0.05,
-                     spread=1.0, seed=PLANTED_SEED_5)
+                     seed=PLANTED_SEED_5)
     a, _ = generate_planted(spec)
     norm_sq = float(np.sum(a * a))
     clus = em_multi_restart(a, 3, 1, EmOptions(restarts=16, seed=5), threads=threads)
@@ -269,7 +269,7 @@ FROZEN_MARGINS_6 = {0.30: 1.02, 0.50: 1.8, 0.60: 6.0}  # measured 1.037 / 2.06 /
 
 def _crit6_matrix():
     spec = SynthSpec(n=2000, d=64, k_true=4, j_true=8, noise_sigma=0.01,
-                     spread=1.0, seed=13)
+                     seed=13)
     return generate_planted(spec)[0]
 
 

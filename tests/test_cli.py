@@ -23,7 +23,7 @@ def invoke(runner, args):
 
 def write_planted(path, n=20, d=10, k_true=2, j_true=3, noise=0.01, seed=3):
     spec = messi.SynthSpec(n=n, d=d, k_true=k_true, j_true=j_true,
-                           noise_sigma=noise, spread=1.0, seed=seed)
+                           noise_sigma=noise, seed=seed)
     a, _ = messi.generate_planted(spec)
     messi.save_matrix(a, path)
     return a
@@ -368,6 +368,23 @@ class TestEvaluate:
         assert "disagrees with stored cost" in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
+    def test_nonfinite_values_blame_the_bundle(self, runner, tmp_path):
+        write_planted(tmp_path / "a.npy")
+        invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "2", "--j", "3", "--output", str(tmp_path / "b"),
+        ])
+        values = tmp_path / "b" / "values.npy"
+        raw = bytearray(values.read_bytes())
+        raw[-8:] = np.array([np.nan]).tobytes()  # the last entry of the body
+        values.write_bytes(raw)
+        result = invoke(runner, [
+            "evaluate", "--input", str(tmp_path / "a.npy"), "--bundle", str(tmp_path / "b"),
+        ])
+        assert result.exit_code == 1
+        assert f"bundle {tmp_path / 'b'} reconstructs to non-finite entries" in result.stderr
+        assert "matrix contains" not in result.output
+
 
 class TestSweep:
     def test_k1_only_is_pure_svd_curve(self, runner, tmp_path):
@@ -470,6 +487,14 @@ class TestSynth:
             "--output", str(tmp_path / "a.npy"),
         ])
         assert result.exit_code == 2
+        assert not (tmp_path / "a.npy").exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_noise_not_finite_and_nonnegative_exit_2(self, runner, tmp_path, noise):
+        result = runner.invoke(main, ["synth", "--noise", noise,
+                                      "--output", str(tmp_path / "a.npy")])
+        assert result.exit_code == 2
+        assert "noise_sigma must be finite and >= 0" in result.output
         assert not (tmp_path / "a.npy").exists()
 
 

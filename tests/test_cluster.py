@@ -32,6 +32,7 @@ from oracles import (
     brute_force,
     canonical_partition,
     gram_eig_tail,
+    greedy_dims,
     pointwise_cost,
     reference_em_run,
     same_subspace,
@@ -378,7 +379,7 @@ class TestThreadBudget:
 
 def crit6_matrix():
     """The criterion-6 matrix: 2000x64 near 4 planted 8-dim subspaces."""
-    spec = SynthSpec(n=2000, d=64, k_true=4, j_true=8, noise_sigma=0.01, spread=1.0, seed=13)
+    spec = SynthSpec(n=2000, d=64, k_true=4, j_true=8, noise_sigma=0.01, seed=13)
     return generate_planted(spec)[0]
 
 
@@ -403,7 +404,7 @@ def reuse_cases():
     cases.append(("sampled-rows", (a, 4, CRIT6_J_AT_RATE_06,
                                    EmOptions(seed=17, init="sampled-rows"), 0), {}, False))
     spec = SynthSpec(n=2 * CHUNK_ROWS + 300, d=12, k_true=3, j_true=2, noise_sigma=0.3,
-                     spread=1.0, seed=5)
+                     seed=5)
     planted, labels = generate_planted(spec)
     cases.append(("planted-init", (planted, 3, 2, EmOptions(seed=1)),
                   {"initial_assignment": labels}, False))
@@ -628,6 +629,21 @@ class TestAllocateDims:
             allocate_dims(pts, labels, 1, k=2)
         with pytest.raises(ParameterError):
             allocate_dims(pts, labels, 7, k=2)
+
+    def test_matches_the_greedy_loop(self):
+        # Cluster c's rows are diag(sqrt(eigs[c])), so its Gram eigenvalues are
+        # eigs[c] exactly: squares of small integers, with ties within and across
+        # clusters, all-zero clusters and, with k=6, a cluster with no rows.
+        rng = np.random.default_rng(35)
+        cases = [np.array([[9.0, 4.0, 4.0, 1.0], [16.0, 4.0, 4.0, 0.0], [0.0] * 4,
+                           [9.0, 9.0, 1.0, 1.0], [4.0, 4.0, 4.0, 4.0]])]
+        cases += [-np.sort(-rng.choice([0.0, 1.0, 4.0, 9.0], size=(5, 4))) for _ in range(20)]
+        for eigs in cases:
+            pts = np.vstack([np.diag(np.sqrt(e)) for e in eigs])
+            labels = np.repeat(np.arange(5), 4)
+            for k, spectra in ((5, eigs), (6, np.vstack([eigs, np.zeros(4)]))):
+                for total in range(k, 4 * k + 1):
+                    assert allocate_dims(pts, labels, total, k=k) == greedy_dims(spectra, total)
 
     def test_respects_ambient_cap(self):
         # One dominant cluster cannot absorb more than d dims.

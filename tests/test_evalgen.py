@@ -53,7 +53,7 @@ class TestFrobeniusError:
 
 class TestGeneratePlanted:
     def test_noise_free_rows_lie_on_their_subspaces(self):
-        spec = SynthSpec(n=12, d=4, k_true=3, j_true=2, noise_sigma=0.0, spread=1.0, seed=2)
+        spec = SynthSpec(n=12, d=4, k_true=3, j_true=2, noise_sigma=0.0, seed=2)
         a, labels = generate_planted(spec)
         # Round-robin assignment by construction.
         np.testing.assert_array_equal(labels, np.arange(12) % 3)
@@ -63,14 +63,14 @@ class TestGeneratePlanted:
             assert float(np.sum(distances_sq(block, s))) <= 1e-12
 
     def test_noise_free_instance_reaches_zero_cost(self):
-        spec = SynthSpec(n=8, d=3, k_true=2, j_true=1, noise_sigma=0.0, spread=1.0, seed=3)
+        spec = SynthSpec(n=8, d=3, k_true=2, j_true=1, noise_sigma=0.0, seed=3)
         a, _ = generate_planted(spec)
         scale = float(np.sum(a * a))
         result = brute_force(a, 2, 1)
         assert result.cost <= 1e-12 * scale
 
     def test_deterministic_across_calls(self):
-        spec = SynthSpec(n=120, d=3, k_true=3, j_true=1, noise_sigma=0.05, spread=1.0, seed=7)
+        spec = SynthSpec(n=120, d=3, k_true=3, j_true=1, noise_sigma=0.05, seed=7)
         a1, l1 = generate_planted(spec)
         a2, l2 = generate_planted(spec)
         assert a1.tobytes() == a2.tobytes()
@@ -78,7 +78,7 @@ class TestGeneratePlanted:
         assert hashlib.sha256(a1.tobytes()).hexdigest() == PLANTED_120_3_SHA256
 
     def test_different_seeds_differ(self):
-        base = dict(n=30, d=5, k_true=2, j_true=2, noise_sigma=0.1, spread=1.0)
+        base = dict(n=30, d=5, k_true=2, j_true=2, noise_sigma=0.1)
         a1, _ = generate_planted(SynthSpec(seed=1, **base))
         a2, _ = generate_planted(SynthSpec(seed=2, **base))
         assert not np.array_equal(a1, a2)
@@ -194,8 +194,7 @@ class TestResidualIdentity:
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"k_true": 0}, "k_true must be >= 1, got 0"),
-    ({"spread": 0.0}, "spread must be > 0, got 0.0"),
-], ids=["k_true", "spread"])
+], ids=["k_true"])
 def test_synth_spec_rejects(kwargs, match):
     with pytest.raises(ParameterError, match=match):
         SynthSpec(**{"n": 10, "d": 3, "k_true": 2, "j_true": 1, **kwargs})

@@ -175,13 +175,34 @@ class TestMatrixRoundTrip:
         assert path.read_bytes() == golden + value.tobytes()
 
     @pytest.mark.parametrize("value", [[0.9, 1.6, True], np.array([True, False]),
-                                       np.array([2**63], dtype=np.uint64), np.zeros((2, 2), int)],
-                             ids=["float-list", "bool-array", "uint64-2**63", "2-d"])
+                                       np.array([2**63], dtype=np.uint64), np.zeros((2, 2), int),
+                                       [0, -1]],
+                             ids=["float-list", "bool-array", "uint64-2**63", "2-d", "negative"])
     def test_index_vector_refuses_what_it_would_cast(self, tmp_path, value):
         path = tmp_path / "a.npy"
         with pytest.raises(FormatError, match="index vector"):
             mio.save_index_vector(value, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_axis_refused(self, tmp_path, shape):
+        path = tmp_path / "e.npy"
+        np.save(path, np.zeros(shape))
+        with pytest.raises(FormatError, match="e.npy: matrix shape .* has an empty axis"):
+            load_matrix(path)
+
+    def test_3d_matrix_not_saved(self, tmp_path):
+        path = tmp_path / "m.npy"
+        with pytest.raises(FormatError, match="can only save 2-d matrices, got ndim=3"):
+            save_matrix(np.zeros((2, 2, 2)), path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path):
+        (tmp_path / "r.csv").mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            write_report([], tmp_path / "r.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert (tmp_path / "r.csv").is_dir()
 
     def test_empty_index_vector_saved(self, tmp_path):
         mio.save_index_vector([], tmp_path / "a.npy")
@@ -774,6 +795,19 @@ class TestBundleRoundTrip:
         assert {p.name: p.read_bytes() for p in real.iterdir()} == before
         assert sorted(os.listdir(tmp_path)) == sorted([target, "link"])
 
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path):
+        _, clus, fact = make_factorization(seed=12)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        (bundle / "meta.json").write_text("[1, 2]\n")
+        with pytest.raises(FormatError, match="meta.json: meta must be a JSON object"):
+            load_bundle_meta(bundle)
+
+    def test_unreadable_meta_rejected(self, tmp_path):
+        (tmp_path / "b" / "meta.json").mkdir(parents=True)
+        with pytest.raises(FormatError, match="cannot read bundle meta .*meta.json"):
+            load_bundle_meta(tmp_path / "b")
+
     def test_duplicate_meta_key_rejected(self, tmp_path):
         _, clus, fact = make_factorization(seed=12)
         bundle = tmp_path / "b"
@@ -835,6 +869,15 @@ class TestReports:
         cells[names.index(column)] = cell
         lines[2] = ",".join(cells)
         with pytest.raises(FormatError, match=f"report row 2, column {column}: cannot parse"):
+            parse_report("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit", [lambda line: line + ",1",
+                                      lambda line: line[:line.rindex(",")]],
+                             ids=["extra", "missing"])
+    def test_wrong_field_count_names_the_row(self, edit):
+        lines = render_report(self.rows()).splitlines()
+        lines[3] = edit(lines[3])
+        with pytest.raises(FormatError, match="report row 3 has (10|8) fields, expected 9"):
             parse_report("\n".join(lines) + "\n")
 
     def test_numpy_scalars_and_list_dims_parse_back_equal(self):
