@@ -20,6 +20,7 @@ from .errors import FormatError, InputError, MessiError, ParameterError
 from .evalgen import (
     SweepSpec,
     SynthSpec,
+    factorize,
     frobenius_error,
     generate_planted,
     rate_to_budget,
@@ -96,6 +97,7 @@ __all__ = [
     "em_multi_restart",
     "em_run",
     "equal_budget_j",
+    "factorize",
     "frobenius_error",
     "generate_planted",
     "load_bundle",

@@ -55,9 +55,6 @@ from .linalg import (
 
 INIT_METHODS = ("random-partition", "sampled-rows")
 
-# Floor for the denominator of the relative-improvement convergence test.
-_COST_EPS = 1e-30
-
 
 def _serial_map(fn, items) -> list:
     return [fn(item) for item in items]
@@ -279,8 +276,8 @@ def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_inde
 
     j is one dimension for every cluster or a list of k per-cluster
     dimensions. Alternates a best-fit refit of every cluster with a
-    nearest-subspace assignment of every row until the relative cost
-    improvement drops below opts.rel_tol or opts.max_iters is reached. The
+    nearest-subspace assignment of every row until an iteration lowers the
+    cost by at most opts.rel_tol times itself or opts.max_iters is reached. The
     returned assignment always comes from a final assignment pass, so at
     convergence no row strictly improves by switching clusters.
 
@@ -330,9 +327,9 @@ def em_run(points, k: int, j: int | Sequence[int], opts: EmOptions, restart_inde
             subspaces = _refit(points, assignment, dims, run, subspaces, kept)
             assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run, dists, kept)
             history.append(new_cost)
-            improvement = (cost - new_cost) / max(cost, _COST_EPS)
+            improved = cost - new_cost > opts.rel_tol * cost  # no absolute floor: scale-free
             cost = new_cost
-            if improvement < opts.rel_tol:
+            if not improved:
                 converged = True
                 break
     return Clustering(

@@ -9,7 +9,8 @@ stand-in for downstream task accuracy, which this package does not measure.
 A sweep evaluates exactly the cells it is given: the single-SVD baseline is
 the k = 1 cell, present when k_list holds 1 (`messi sweep` always adds it).
 Budgets are absolute parameter counts; `rate_to_budget` turns a target
-compression rate into one.
+compression rate into one. Every cell runs `factorize`, the one EM-to-build
+pipeline, which `messi compress` runs too: the sweep measures what compress ships.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import EmOptions, em_multi_restart
+from .cluster import Clustering, EmOptions, allocate_dims, em_multi_restart, em_run
 from .errors import ParameterError
-from .factorization import build_factorization, equal_budget_j, reconstruct
+from .factorization import MessiFactorization, build_factorization, equal_budget_j, reconstruct
 from .io import ReportRow
 from .linalg import as_matrix
 
@@ -104,6 +105,25 @@ def rate_to_budget(rate: float, n: int, d: int) -> int:
     return math.ceil((1.0 - rate) * n * d)
 
 
+def factorize(a, k: int, j: int, opts: EmOptions, dims_auto: bool = False, threads: int = 1,
+              progress=None) -> tuple[Clustering, MessiFactorization, int]:
+    """EM, then the factorization: the one pipeline of `messi compress` and every sweep cell.
+
+    em_multi_restart runs at the uniform dimension j; with dims_auto, allocate_dims then
+    splits the k * j dims by spectrum and em_run continues from that assignment. Returns
+    (clustering, factorization, iterations of every EM stage summed), whatever threads is."""
+    clustering = em_multi_restart(a, k, j, opts, threads=threads)
+    iterations = clustering.iterations
+    if dims_auto:
+        dims = allocate_dims(a, clustering.assignment, k * j, k=k)
+        if progress is not None:
+            progress(f"reallocated dims: {dims}")
+        clustering = em_run(a, k, dims, opts, initial_assignment=clustering.assignment,
+                            threads=threads)
+        iterations += clustering.iterations
+    return clustering, build_factorization(a, clustering, threads=threads), iterations
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid of (k, budget) cells to evaluate: every k in k_list at every budget."""
@@ -124,9 +144,8 @@ class SweepSpec:
 def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> list[ReportRow]:
     """Evaluate every (k, budget) cell of spec and return rows ordered by (k, budget).
 
-    For each cell the uniform dimension is the largest fitting the budget;
-    the clustering is the best of spec.options.restarts EM runs; the reported
-    errors come from the materialized reconstruction. Cells whose budget
+    Each cell runs factorize at the largest uniform dimension its budget fits,
+    and its errors come from the materialized reconstruction. Cells whose budget
     cannot afford one dimension are recorded as warning rows (empty fields).
     Rows are a pure function of (a, spec) for any thread count.
     """
@@ -148,10 +167,9 @@ def run_sweep(a, spec: SweepSpec, threads: int = 1, progress=None) -> list[Repor
             )
         if progress is not None:
             progress(f"clustering k={k} j={j} (budget {budget})")
-        clustering = em_multi_restart(a, k, j, opts, threads=threads)
-        fact = build_factorization(a, clustering, threads=threads)
+        clustering, fact, iterations = factorize(a, k, j, opts, threads=threads)
         return ReportRow.from_factorization(
-            fact, *frobenius_error(a, reconstruct(fact)), iterations=clustering.iterations,
+            fact, *frobenius_error(a, reconstruct(fact)), iterations=iterations,
             converged=clustering.converged, seed=opts.seed,
         )
 

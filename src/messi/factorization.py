@@ -12,7 +12,9 @@ The compressed layer's forward pass is lookup(f, ids): one sort groups the
 distinct ids by cluster, each cluster runs one (distinct rows x j_i) @
 (j_i x d) product, and a repeated id costs one product row, copied to every
 place that asked for it. A cluster whose every row is asked for multiplies
-its u block in place, so reconstruct gathers no copy of any block.
+its u block in place, so reconstruct gathers no copy of any block. No product
+has one row, which numpy would round apart from a row of a larger one: a
+lone row is multiplied stacked twice, so a row's bits never depend on its batch.
 """
 
 from __future__ import annotations
@@ -232,15 +234,8 @@ def lookup(f: MessiFactorization, ids) -> np.ndarray:
 
     ids is a 1-D integer array of row indices in [0, n) (an empty list also
     passes); repeats and any order are allowed. Negative ids are rejected
-    rather than wrapped, floats and bool masks rather than cast. One sort
-    groups the distinct ids by cluster, and each cluster's coefficient rows
-    go through its basis as one GEMM. A repeated id is multiplied once and
-    its product row copied to each place that asked for it; a cluster whose
-    every row is asked for multiplies its u block itself, not a gathered
-    copy. The result equals reconstruct(f)[ids]; it is the product over every
-    asked-for row, repeats included, bit for bit unless two or more of a
-    cluster's ids are all one row, whose one-row product numpy may round
-    differently.
+    rather than wrapped, floats and bool masks rather than cast. The result
+    equals reconstruct(f)[ids] bit for bit, whatever other ids share the batch.
     """
     ids = _check_ids(ids, f.n, "ids")
     # (cluster, position in its block) as one integer: sorted, the ids fall into
@@ -261,7 +256,9 @@ def lookup(f: MessiFactorization, ids) -> np.ndarray:
         if lo == hi:
             continue
         u = b.u if hi - lo == b.u.shape[0] else b.u[keys[lo:hi] - c * f.n]
-        if repeats:
+        if hi - lo == 1:  # numpy rounds a one-row product apart from a row of a larger one
+            out[lo if repeats else order[lo]] = (np.repeat(u, 2, axis=0) @ b.v)[0]
+        elif repeats:
             np.matmul(u, b.v, out=out[lo:hi])
         else:
             out[order[lo:hi]] = u @ b.v

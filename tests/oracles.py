@@ -21,7 +21,6 @@ import os
 import numpy as np
 
 from messi.cluster import (
-    _COST_EPS,
     Clustering,
     _assign_and_cost,
     _check_dims,
@@ -157,9 +156,9 @@ def reference_em_run(points, k, j, opts, restart_index=0, initial_assignment=Non
             subspaces = _refit(points, assignment, dims, run)
             assignment, new_cost = _assign_and_cost(points, norms_sq, subspaces, run)
             history.append(new_cost)
-            improvement = (cost - new_cost) / max(cost, _COST_EPS)
+            improved = cost - new_cost > opts.rel_tol * cost
             cost = new_cost
-            if improvement < opts.rel_tol:
+            if not improved:
                 converged = True
                 break
     clustering = Clustering(k=k, assignment=assignment, subspaces=tuple(subspaces), cost=cost,

@@ -368,6 +368,25 @@ class TestEvaluate:
         assert "disagrees with stored cost" in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
+    def test_tampered_bundle_of_a_tiny_matrix_exit_1(self, runner, tmp_path):
+        # The self-check's floor follows ||A||_F^2, so scaling the input down hides no fault.
+        invoke(runner, ["synth", "--n", "600", "--d", "12", "--k-true", "3", "--j-true", "2",
+                        "--noise", "0.01", "--output", str(tmp_path / "a.npy")])
+        messi.save_matrix(np.ldexp(np.load(tmp_path / "a.npy"), -30), tmp_path / "a.npy")
+        invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "a.npy"),
+            "--k", "3", "--j", "2", "--output", str(tmp_path / "b"),
+        ])
+        values = tmp_path / "b" / "values.npy"
+        np.save(values, 3.0 * np.load(values))
+        result = invoke(runner, [
+            "evaluate", "--input", str(tmp_path / "a.npy"), "--bundle", str(tmp_path / "b"),
+        ])
+        assert result.exit_code == 1
+        assert float(stdout_value(result.stdout, "relative_error")) > 1.9
+        assert stdout_value(result.stdout, "residual_identity") == "mismatch"
+        assert "disagrees with stored cost" in result.stderr
+
     def test_nonfinite_values_blame_the_bundle(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")
         invoke(runner, [
@@ -439,6 +458,23 @@ class TestSweep:
             result = invoke(runner, args)
             assert result.exit_code == 2
             assert not (tmp_path / "s.csv").exists()
+
+    def test_compress_report_row_equals_sweep_row(self, runner, tmp_path):
+        # compress and every sweep cell run one pipeline, messi.factorize.
+        write_planted(tmp_path / "a.npy", n=600, d=16, k_true=3, j_true=3, noise=0.05, seed=12)
+        common = ["--quiet", "--seed", "7"]
+        invoke(runner, [*common, "compress", "--input", str(tmp_path / "a.npy"), "--k", "3",
+                        "--budget", "3000", "--restarts", "3", "--output", str(tmp_path / "b")])
+        invoke(runner, ["evaluate", "--input", str(tmp_path / "a.npy"),
+                        "--bundle", str(tmp_path / "b"), "--report", str(tmp_path / "r.csv")])
+        result = invoke(runner, [*common, "sweep", "--input", str(tmp_path / "a.npy"),
+                                 "--k-list", "3", "--budget-list", "3000", "--restarts", "3",
+                                 "--output", str(tmp_path / "s.csv")])
+        assert result.exit_code == 0
+        row = (tmp_path / "r.csv").read_text().splitlines()[1]
+        assert row.startswith("3,4;4;4,")
+        sweep_rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert row == next(r for r in sweep_rows if r.startswith("3,"))
 
     def test_deterministic_output_bytes(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy", noise=0.1, seed=11)

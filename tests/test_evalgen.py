@@ -11,10 +11,14 @@ from messi import (
     SweepSpec,
     SynthSpec,
     distances_sq,
+    factorize,
     frobenius_error,
     generate_planted,
+    load_bundle,
     rate_to_budget,
+    reconstruct,
     run_sweep,
+    save_bundle,
     truncated_svd,
 )
 from messi.linalg import Subspace, best_fit_subspace
@@ -173,6 +177,48 @@ class TestRunSweep:
             SweepSpec(k_list=(), budget_list=(10,))
         with pytest.raises(ParameterError):
             SweepSpec(k_list=(1,))
+
+
+class TestFactorizeIsScaleAndSignExact:
+    """factorize, save_bundle and load_bundle commute exactly with scaling the
+    input by a power of two and with negating rows: no step has an absolute floor."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        spec = SynthSpec(n=600, d=16, k_true=3, j_true=3, noise_sigma=0.05, seed=4)
+        return generate_planted(spec)[0]
+
+    @staticmethod
+    def run(a, dims_auto, directory):
+        clustering, fact, iterations = factorize(a, 3, 4, EmOptions(restarts=3, seed=42),
+                                                 dims_auto=dims_auto)
+        save_bundle(fact, directory, cost=clustering.cost, iterations=iterations)
+        return clustering, load_bundle(directory), iterations
+
+    @pytest.mark.parametrize("dims_auto", [False, True])
+    def test_power_of_two_scaling(self, planted, dims_auto, tmp_path):
+        base, f0, iterations = self.run(planted, dims_auto, tmp_path / "base")
+        assert iterations > 2
+        for s in (-100, -3, 2, 200):
+            clustering, f, its = self.run(np.ldexp(planted, s), dims_auto, tmp_path / f"s{s}")
+            np.testing.assert_array_equal(f.assignment, f0.assignment)
+            assert (f.dims, its) == (f0.dims, iterations)
+            np.testing.assert_array_equal(clustering.cost_history,
+                                          np.ldexp(base.cost_history, 2 * s))
+            np.testing.assert_array_equal(f.values, np.ldexp(f0.values, s))
+            np.testing.assert_array_equal(f.v_stacked, f0.v_stacked)
+
+    def test_negated_rows(self, planted, tmp_path):
+        flip = np.random.default_rng(7).random(planted.shape[0]) < 0.5
+        base, f0, _ = self.run(planted, False, tmp_path / "base")
+        clustering, f, _ = self.run(np.where(flip[:, None], -planted, planted), False,
+                                    tmp_path / "flip")
+        np.testing.assert_array_equal(f.assignment, f0.assignment)
+        np.testing.assert_array_equal(f.v_stacked, f0.v_stacked)
+        assert clustering.cost == base.cost
+        r0, r = reconstruct(f0), reconstruct(f)
+        np.testing.assert_array_equal(r[flip], -r0[flip])
+        np.testing.assert_array_equal(r[~flip], r0[~flip])
 
 
 class TestResidualIdentity:

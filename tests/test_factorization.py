@@ -11,6 +11,7 @@ from messi import (
     MessiFactorization,
     ParameterError,
     Subspace,
+    SynthSpec,
     allocate_dims,
     assemble_sparse,
     best_fit_subspace,
@@ -19,6 +20,7 @@ from messi import (
     em_multi_restart,
     em_run,
     equal_budget_j,
+    generate_planted,
     load_bundle,
     lookup,
     param_count,
@@ -31,10 +33,6 @@ from messi import (
 from messi.linalg import (_blas_threads, _check_ids, _one_blas_thread, _set_blas_threads,
                           orthonormality_residual)
 from oracles import dense_u, gathered_lookup
-
-
-# Relative Frobenius tolerance of a lookup batch against reconstruct(f)[ids].
-LOOKUP_RTOL = 1e-12
 
 
 def make_clustering(pts, k, j, seed=0, restarts=4):
@@ -490,7 +488,7 @@ class TestLookup:
         expected = reconstruct(fact)[ids]
         out = lookup(fact, ids)
         assert out.shape == expected.shape == (len(ids), fact.d)
-        assert np.linalg.norm(out - expected) <= LOOKUP_RTOL * np.linalg.norm(expected)
+        np.testing.assert_array_equal(out, expected)
 
     def test_unsorted_repeated_and_all_ids(self):
         rng = np.random.default_rng(15)
@@ -558,16 +556,12 @@ class TestLookup:
         self.assert_matches_reconstruct(fact, np.full(512, z))
 
     def test_cluster_shrunk_to_one_distinct_row(self):
-        # Cluster 0 gets one row twice, so its product has a single row, which
-        # numpy may round apart from the two-row product of the gathered oracle.
+        # Cluster 0 gets one row twice; its lone distinct row is multiplied stacked
+        # twice, the two-row product of the gathered oracle.
         fact = mixed_dims_factorization()
         z = int(fact.blocks[0].row_ids[1])
         ids = np.array([z, *fact.blocks[2].row_ids[:3], z])
-        out = lookup(fact, ids)
-        expected = gathered_lookup(fact, ids)
-        assert np.linalg.norm(out - expected) <= LOOKUP_RTOL * np.linalg.norm(expected)
-        np.testing.assert_array_equal(out[0], out[-1])
-        np.testing.assert_array_equal(out[1:-1], expected[1:-1])
+        np.testing.assert_array_equal(lookup(fact, ids), gathered_lookup(fact, ids))
         self.assert_matches_reconstruct(fact, ids)
 
     def test_every_row_of_one_block(self):
@@ -592,30 +586,47 @@ class TestLookup:
         np.testing.assert_array_equal(lookup(fact, ids), gathered_lookup(fact, ids))
         self.assert_matches_reconstruct(fact, ids)
 
-    def test_bits_equal_gathered_products_unless_a_cluster_shrinks(self):
-        """Each cluster multiplies its distinct rows once; where every cluster
-        gets no id, one id, or at least two distinct rows, the result is the
-        gathered product over every id, repeats included, bit for bit."""
+    def test_bits_equal_reconstruct_whichever_ids_share_the_batch(self):
+        """Each cluster multiplies its distinct rows once, a lone row stacked
+        twice, so every batch reads reconstruct's rows bit for bit, also where
+        a cluster gets one distinct row, asked for once or more."""
         rng = np.random.default_rng(18)
         pts = rng.standard_normal((300, 12))
         labels = rng.integers(0, 3, 300)
         clus = Clustering(k=3, assignment=labels, subspaces=refit_step(pts, labels, 3, [4, 5, 3]),
                           cost=0.0, iterations=0, converged=True)
         fact = build_factorization(pts, clus)
-        exact = 0
-        for size in (2, 3, 8, 40, 300, 512):
+        full = reconstruct(fact)
+        lone = 0
+        for size in (1, 2, 3, 8, 40, 300, 512):
             for _ in range(8):
                 ids = rng.integers(0, fact.n, size)
-                out, expected = lookup(fact, ids), gathered_lookup(fact, ids)
+                np.testing.assert_array_equal(lookup(fact, ids), full[ids])
                 clusters = fact.assignment[ids]
-                shrinks = any((clusters == c).sum() > 1 and np.unique(ids[clusters == c]).size == 1
-                              for c in range(fact.k))
-                if shrinks:
-                    assert np.linalg.norm(out - expected) <= LOOKUP_RTOL * np.linalg.norm(expected)
-                else:
-                    np.testing.assert_array_equal(out, expected)
-                    exact += 1
-        assert exact >= 30
+                lone += any(np.unique(ids[clusters == c]).size == 1 for c in range(fact.k))
+        assert lone >= 20
+
+    def test_batches_of_1_to_64_ids_at_1_and_2_blas_threads(self):
+        saved = _blas_threads()
+        if saved is None:
+            pytest.skip("no hook to numpy's OpenBLAS thread count was found, so it cannot be set")
+        a = generate_planted(SynthSpec(n=2000, d=96, k_true=4, j_true=12, noise_sigma=0.05,
+                                       seed=5))[0]
+        fact = build_factorization(a, make_clustering(a, 4, 24, seed=3, restarts=2))
+        rng = np.random.default_rng(19)
+        fulls = []
+        try:
+            for blas in (1, 2):
+                _set_blas_threads(blas)
+                fulls.append(full := reconstruct(fact))
+                for size in range(1, 65):
+                    distinct = rng.integers(0, fact.n, size)
+                    repeated = rng.choice(distinct[: size // 2 + 1], size)
+                    for ids in (distinct, repeated):
+                        np.testing.assert_array_equal(lookup(fact, ids), full[ids])
+        finally:
+            _set_blas_threads(saved)
+        np.testing.assert_array_equal(fulls[0], fulls[1])
 
 
 class TestParamCounts:
