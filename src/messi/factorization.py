@@ -106,14 +106,6 @@ def _block_views(values, v_stacked, sizes, dims) -> list[tuple[np.ndarray, np.nd
     return [(u.reshape(s, j), v) for u, v, s, j in zip(us, vs, sizes, dims)]
 
 
-class _NotOrthonormal(ParameterError):
-    """Block `block`'s v rows are not orthonormal, so a loader can name its file."""
-
-    def __init__(self, block: int, dev: float):
-        super().__init__(f"block {block} v rows are not orthonormal (max deviation {dev:.3e})")
-        self.block = block
-
-
 def _grouped(rows: list[np.ndarray], **fields) -> MessiFactorization:
     """MessiFactorization(**fields) whose assignment the caller has already
     checked and grouped into rows (its _cluster_rows); neither step runs again."""
@@ -148,7 +140,7 @@ def _derive_blocks(f: MessiFactorization, rows=None) -> tuple[tuple[Block, ...],
         positions[ids] = np.arange(ids.size)
         dev = orthonormality_residual(v)
         if not dev <= ORTHONORMALITY_TOL:
-            raise _NotOrthonormal(c, dev)
+            raise ParameterError(f"block {c} v rows are not orthonormal (max deviation {dev:.3e})")
         blocks.append(Block(row_ids=ids, u=u, v=v))
     return tuple(blocks), positions
 

@@ -15,11 +15,10 @@ rejected with a FormatError naming the file.
 A factorization bundle is a directory holding meta.json (its keys and their
 checks are _META_SCHEMA), assignment.npy and the factorization's two buffers
 as two files: values.npy (every u block, cluster-major, 1-d) and
-v_stacked.npy (sum(dims) x d). Save writes format 2, that layout, to a
+v_stacked.npy (sum(dims) x d). Save writes that layout, format 2, to a
 temporary sibling, syncs and renames it, so neither a failure nor a crash
 leaves a partial bundle or loses the previous one; it replaces only an empty
-directory or a previous bundle. Load also checks the ids and the v blocks,
-and concatenates a format 1 bundle's u_c.npy and v_c.npy mappings.
+directory or a previous bundle. Load also checks the ids and the v blocks.
 
 A mapping is only as stable as its file. Another program that rewrites a
 loaded file in place (np.save onto the same path does) changes what is read,
@@ -44,11 +43,11 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from .cluster import _cluster_rows
-from .errors import FormatError, InputError, MessiError
-from .factorization import MessiFactorization, _grouped, _NotOrthonormal
+from .errors import FormatError, InputError, MessiError, ParameterError
+from .factorization import MessiFactorization, _grouped
 from .linalg import _all_finite, _check_ids
 
-# save_bundle writes format 2; load_bundle and check_bundle_target also take format 1.
+# The one bundle layout that save_bundle writes and load_bundle reads.
 _BUNDLE_FORMAT_VERSION = 2
 
 
@@ -180,8 +179,8 @@ def _is_int(value, low: int) -> bool:
 # k, since dims needs k), each with a test of (value, whole meta) and what
 # the value must be.
 _META_SCHEMA = (
-    ("format_version", lambda v, m: _is_int(v, 1) and v <= _BUNDLE_FORMAT_VERSION,
-     f"be 1 or {_BUNDLE_FORMAT_VERSION}"),
+    ("format_version", lambda v, m: type(v) is int and v == _BUNDLE_FORMAT_VERSION,
+     f"be {_BUNDLE_FORMAT_VERSION}"),
     ("n", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
     ("d", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
     ("k", lambda v, m: _is_int(v, 1), "be an integer >= 1"),
@@ -198,14 +197,7 @@ _META_FILE = "meta.json"
 _ASSIGNMENT_FILE = "assignment.npy"
 _VALUES_FILE = "values.npy"
 _V_STACKED_FILE = "v_stacked.npy"
-
-
-def _array_files(meta: dict) -> list[str]:
-    """A bundle's array files but assignment.npy: format 2's two buffers, or
-    format 1's u_c.npy and v_c.npy for each cluster c."""
-    if meta["format_version"] == 1:
-        return [name for c in range(meta["k"]) for name in (f"u_{c}.npy", f"v_{c}.npy")]
-    return [_VALUES_FILE, _V_STACKED_FILE]
+_BUNDLE_FILES = frozenset({_META_FILE, _ASSIGNMENT_FILE, _VALUES_FILE, _V_STACKED_FILE})
 
 
 def _check_meta(meta, path: str) -> None:
@@ -282,10 +274,9 @@ def check_bundle_target(directory) -> bool:
     """Whether save_bundle may write a bundle at directory, and what it replaces.
 
     True for a previous bundle: a directory whose meta.json passes
-    load_bundle_meta and whose entries are exactly meta.json, assignment.npy
-    and its format's array files (format 2: values.npy and v_stacked.npy;
-    format 1: u_c.npy and v_c.npy for each c < k). False for an absent path or an
-    empty directory. Anything else, a corrupt bundle or a symbolic link
+    load_bundle_meta and whose entries are exactly meta.json, assignment.npy,
+    values.npy and v_stacked.npy. False for an absent path or an empty
+    directory. Anything else, a corrupt bundle or a symbolic link
     (named with a trailing slash too) included, is not save_bundle's to
     replace and raises FormatError, so a caller can check before any work.
     """
@@ -302,15 +293,13 @@ def check_bundle_target(directory) -> bool:
             "refusing to replace it"
         )
     try:
-        meta = load_bundle_meta(directory)
+        load_bundle_meta(directory)
     except FormatError as e:
         raise FormatError(f"{directory} is not a bundle ({e}); refusing to replace it") from e
-    names = {_META_FILE, _ASSIGNMENT_FILE, *_array_files(meta)}
-    if entries != names:
-        odd = ", ".join(sorted(entries ^ names))
-        raise FormatError(f"{directory} is not a bundle: its files differ from a format "
-                          f"{meta['format_version']} {meta['k']}-cluster bundle's in {odd}; "
-                          "refusing to replace it")
+    if entries != _BUNDLE_FILES:
+        odd = ", ".join(sorted(entries ^ _BUNDLE_FILES))
+        raise FormatError(f"{directory} is not a bundle: its files differ from a bundle's "
+                          f"in {odd}; refusing to replace it")
     return True
 
 
@@ -343,9 +332,8 @@ def load_bundle_meta(directory) -> dict:
 def load_bundle(directory) -> MessiFactorization:
     """Load a bundle directory back into a factorization, verifying invariants.
 
-    Every array file is mapped read-only. In format 2 the factorization's two
-    buffers are the mappings of values.npy and v_stacked.npy; in format 1 the
-    u_c.npy / v_c.npy mappings are concatenated into them. A shape on disk that
+    Every array file is mapped read-only, and the factorization's two buffers
+    are the mappings of values.npy and v_stacked.npy. A shape on disk that
     disagrees with meta, and any violated invariant (assignment range,
     orthonormal v blocks), raises FormatError naming the failing file.
     """
@@ -360,22 +348,15 @@ def load_bundle(directory) -> MessiFactorization:
         raise FormatError(f"{path}: {e}") from e
     rows = _cluster_rows(assignment, k)
     sizes = [ids.size for ids in rows]
-    files = [os.path.join(directory, name) for name in _array_files(meta)]
-    if meta["format_version"] == 1:  # every u_c / v_c file is checked before values is allocated
-        shapes = [shape for s, j in zip(sizes, dims) for shape in ((s, j), (j, d))]
-        blocks = [_map_npy(file, ("<f8",), 2, shape) for file, shape in zip(files, shapes)]
-        values = np.concatenate([u.reshape(-1) for u in blocks[::2]])
-        v_stacked = np.concatenate(blocks[1::2])
-        v_files = files[1::2]  # the file of each cluster's v
-    else:
-        values = _map_npy(files[0], ("<f8",), 1, (sum(s * j for s, j in zip(sizes, dims)),))
-        v_stacked = _map_npy(files[1], ("<f8",), 2, (sum(dims), d))
-        v_files = [files[1]] * k
+    values = _map_npy(os.path.join(directory, _VALUES_FILE), ("<f8",), 1,
+                      (sum(s * j for s, j in zip(sizes, dims)),))
+    path = os.path.join(directory, _V_STACKED_FILE)
+    v_stacked = _map_npy(path, ("<f8",), 2, (sum(dims), d))
     try:
         return _grouped(rows, n=n, d=d, k=k, dims=tuple(dims), assignment=assignment,
                         values=values, v_stacked=v_stacked)
-    except _NotOrthonormal as e:
-        raise FormatError(f"{v_files[e.block]}: {e}") from e
+    except ParameterError as e:  # meta and _map_npy checked all else: a v block is at fault
+        raise FormatError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------- reports

@@ -5,7 +5,8 @@ Rows of a matrix are treated as points in d-space. All subspaces are linear
 this package builds: A ~ U V has no bias term. Everything is computed in
 float64 regardless of input precision. Distances are computed a matrix of
 rows at a time (`distances_sq`), the form EM's assignment pass uses. Fits and
-finiteness checks read CHUNK_ROWS rows at a time and copy no whole matrix.
+as_matrix's finiteness check read CHUNK_ROWS rows at a time and copy no whole
+matrix; a fit's finiteness is checked once, on its d x d Gram matrix.
 
 All functions here are pure and safe to call concurrently.
 
@@ -239,13 +240,15 @@ def best_fit_subspace(points, j: int, rows=None) -> Subspace:
 
 def _gram(points: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """X.T @ X of the rows X = points[rows] (default all), summed from zeros over chunks of
-    CHUNK_ROWS rows in chunk order, so no copy of X is made. InputError on a non-finite row."""
+    CHUNK_ROWS rows in chunk order, so no copy of X is made. InputError if the sum is not
+    finite: a NaN, an inf or an entry whose square overflows reaches its column's diagonal."""
     gram = np.zeros((points.shape[1],) * 2)
-    for s in range(0, points.shape[0] if rows is None else rows.size, CHUNK_ROWS):
-        block = points[s : s + CHUNK_ROWS] if rows is None else points[rows[s : s + CHUNK_ROWS]]
-        if not _all_finite(block):
-            raise InputError("matrix contains non-finite entries")
-        gram += block.T @ block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, points.shape[0] if rows is None else rows.size, CHUNK_ROWS):
+            block = points[s : s + CHUNK_ROWS] if rows is None else points[rows[s : s + CHUNK_ROWS]]
+            gram += block.T @ block
+    if not np.isfinite(gram).all():
+        raise InputError("matrix contains non-finite entries, or entries whose squares overflow")
     return gram
 
 

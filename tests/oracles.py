@@ -6,7 +6,7 @@ eigenvalue tails, distances from explicit projection residuals,
 `dense_u` scatters the sparse layer's runs into a dense matrix, and
 `gathered_lookup` multiplies every asked-for row, repeats included,
 `greedy_dims` splits dims by one argmax per dim, and `save_bundle_v1`
-writes a bundle in format 1, with numpy's own `np.save`. Three drive
+writes a bundle in the retired format 1, with numpy's own `np.save`. Three drive
 the library's own steps: `brute_force` enumerates every row partition and
 scores it by Gram eigenvalue tails, then refits the winner with the
 library's M-step; `assign_step` is one nearest-subspace pass of EM's
@@ -273,7 +273,7 @@ def gathered_lookup(f, ids) -> np.ndarray:
 
 
 def save_bundle_v1(f, directory, *, seed=0, cost=0.0, iterations=0, converged=True) -> None:
-    """Write f as a format-1 bundle, the layout load_bundle still reads: meta.json
+    """Write f as a format-1 bundle, the layout load_bundle refuses: meta.json
     with format_version 1, assignment.npy and one u_c.npy and one v_c.npy per cluster."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)

@@ -203,7 +203,7 @@ class TestCompress:
         def must_not_run(*args, **kwargs):
             raise AssertionError("EM ran although --output cannot be written")
 
-        monkeypatch.setattr("messi.cli.em_multi_restart", must_not_run)
+        monkeypatch.setattr("messi.evalgen.em_multi_restart", must_not_run)
         write_planted(tmp_path / "a.npy")
         (tmp_path / "data").mkdir()
         (tmp_path / "data" / "important.txt").write_text("keep me")
@@ -219,7 +219,7 @@ class TestCompress:
         def must_not_run(*args, **kwargs):
             raise AssertionError("EM ran although --output cannot be written")
 
-        monkeypatch.setattr("messi.cli.em_multi_restart", must_not_run)
+        monkeypatch.setattr("messi.evalgen.em_multi_restart", must_not_run)
         write_planted(tmp_path / "a.npy")
         (tmp_path / "empty").mkdir()
         (tmp_path / "link").symlink_to("empty")
@@ -239,6 +239,19 @@ class TestCompress:
             "--k", "2", "--j", "11", "--output", str(tmp_path / "x"),
         ])
         assert result.exit_code == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_entries_whose_squares_overflow_exit_1(self, runner, tmp_path):
+        # Finite, so load_matrix passes it; EM's first fit finds its Gram non-finite.
+        a = write_planted(tmp_path / "a.npy", n=300, d=6)
+        messi.save_matrix(a * 1e160, tmp_path / "big.npy")
+        result = invoke(runner, [
+            "--quiet", "compress", "--input", str(tmp_path / "big.npy"),
+            "--k", "2", "--j", "2", "--output", str(tmp_path / "x"),
+        ])
+        assert result.exit_code == 1
+        assert "Error: matrix contains non-finite entries, or entries whose squares overflow" in (
+            result.output)
         assert not (tmp_path / "x").exists()
 
 
@@ -571,7 +584,7 @@ class TestInspect:
         (tmp_path / "b" / "meta.json").write_text(json.dumps(meta))
         result = invoke(runner, ["inspect", "--bundle", str(tmp_path / "b")])
         assert result.exit_code == 1
-        assert "v_1" in result.output or "shape" in result.output
+        assert "values.npy: has shape" in result.output
 
     def test_non_utf8_meta_exit_1(self, runner, tmp_path):
         write_planted(tmp_path / "a.npy")

@@ -34,9 +34,6 @@ from messi.cli import main
 from messi.linalg import CHUNK_ROWS
 from oracles import save_bundle_v1
 
-# The writer of each bundle layout: save_bundle's format 2 and the test oracle's format 1.
-LAYOUTS = {"format-2": save_bundle, "format-1": save_bundle_v1}
-
 
 def make_factorization(seed=0, n=12, d=5, k=2, j=2):
     rng = np.random.default_rng(seed)
@@ -46,19 +43,11 @@ def make_factorization(seed=0, n=12, d=5, k=2, j=2):
 
 
 def edit_v(bundle, f, c, edit):
-    """Apply edit in place to cluster c's stored v block, in either layout, and
-    rewrite its file; return the file's name."""
-    if (bundle / "v_stacked.npy").exists():
-        name = "v_stacked.npy"
-        stored = np.load(bundle / name)
-        start = sum(f.dims[:c])
-        edit(stored[start : start + f.dims[c]])
-    else:
-        name = f"v_{c}.npy"
-        stored = np.load(bundle / name)
-        edit(stored)
-    mio._write_npy(bundle / name, stored, "<f8")
-    return name
+    """Apply edit in place to cluster c's block of v_stacked.npy and rewrite the file."""
+    stored = np.load(bundle / "v_stacked.npy")
+    start = sum(f.dims[:c])
+    edit(stored[start : start + f.dims[c]])
+    mio._write_npy(bundle / "v_stacked.npy", stored, "<f8")
 
 
 @pytest.fixture
@@ -379,40 +368,48 @@ class TestBundleRoundTrip:
                 base = base.base
             assert isinstance(base.obj, mmap.mmap)
 
-    def test_format_1_bundle_loads_bit_identical_and_is_replaced(self, tmp_path):
-        _, clus, fact = make_factorization(seed=5, k=3)
-        save_bundle_v1(fact, tmp_path / "v1", cost=clus.cost, seed=5)
-        save_bundle(fact, tmp_path / "v2", cost=clus.cost, seed=5)
-        old, new = load_bundle(tmp_path / "v1"), load_bundle(tmp_path / "v2")
-        for name in ("assignment", "values", "v_stacked", "positions"):
-            assert getattr(old, name).tobytes() == getattr(new, name).tobytes(), name
-        assert (old.n, old.d, old.k, old.dims) == (new.n, new.d, new.k, new.dims)
-        assert load_bundle_meta(tmp_path / "v1")["format_version"] == 1
-        assert mio.check_bundle_target(tmp_path / "v1") is True
-        save_bundle(fact, tmp_path / "v1", cost=clus.cost, seed=6)
-        assert sorted(os.listdir(tmp_path / "v1")) == sorted(os.listdir(tmp_path / "v2"))
-        assert load_bundle_meta(tmp_path / "v1") == {**load_bundle_meta(tmp_path / "v2"), "seed": 6}
-        assert sorted(os.listdir(tmp_path)) == ["v1", "v2"]
+    def test_format_1_bundle_is_refused_and_kept(self, tmp_path, monkeypatch):
+        pts, clus, fact = make_factorization(seed=5, k=3)
+        bundle = tmp_path / "v1"
+        save_bundle_v1(fact, bundle, cost=clus.cost, seed=5)
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        with pytest.raises(FormatError, match="meta.json: format_version must be 2, got 1"):
+            load_bundle(bundle)
+        with pytest.raises(FormatError, match="v1 is not a bundle .*format_version"):
+            mio.check_bundle_target(bundle)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_empty_values_round_trip(self, tmp_path, layout):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("EM ran although --output cannot be written")
+
+        monkeypatch.setattr("messi.evalgen.em_multi_restart", must_not_run)
+        save_matrix(pts, tmp_path / "a.npy")
+        matrix = ["--input", str(tmp_path / "a.npy")]
+        for args in (["compress", *matrix, "--k", "3", "--j", "2", "--output", str(bundle)],
+                     ["inspect", "--bundle", str(bundle)],
+                     ["evaluate", *matrix, "--bundle", str(bundle)]):
+            result = CliRunner().invoke(main, args, catch_exceptions=False)
+            assert result.exit_code == 1, args
+            assert "format_version must be 2, got 1" in result.output, args
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == ["a.npy", "v1"]
+
+    def test_empty_values_round_trip(self, tmp_path):
         fact = MessiFactorization(n=3, d=2, k=1, dims=(0,), assignment=np.zeros(3, dtype=int),
                                   values=np.empty(0), v_stacked=np.empty((0, 2)))
-        LAYOUTS[layout](fact, tmp_path / "b")
+        save_bundle(fact, tmp_path / "b")
         back = load_bundle(tmp_path / "b")
         assert back.values.shape == (0,) and back.v_stacked.shape == (0, 2)
         assert back.assignment.tobytes() == fact.assignment.tobytes()
         assert reconstruct(back).tobytes() == np.zeros((3, 2)).tobytes()
 
-    @pytest.mark.parametrize("layout, edit, odd", [
-        ("format-2", lambda b: (b / "u_0.npy").write_bytes((b / "values.npy").read_bytes()),
-         "u_0.npy"),
-        ("format-1", lambda b: (b / "v_1.npy").unlink(), "v_1.npy"),
-    ], ids=["format-2-stray-u_0", "format-1-missing-v_1"])
-    def test_check_bundle_target_matches_the_layout(self, tmp_path, layout, edit, odd):
+    @pytest.mark.parametrize("edit, odd", [
+        (lambda b: (b / "u_0.npy").write_bytes((b / "values.npy").read_bytes()), "u_0.npy"),
+        (lambda b: (b / "v_stacked.npy").unlink(), "v_stacked.npy"),
+    ], ids=["format-2-stray-u_0", "format-2-missing-v_stacked"])
+    def test_check_bundle_target_matches_the_layout(self, tmp_path, edit, odd):
         _, clus, fact = make_factorization(seed=14)
         bundle = tmp_path / "b"
-        LAYOUTS[layout](fact, bundle, cost=clus.cost)
+        save_bundle(fact, bundle, cost=clus.cost)
         edit(bundle)
         before = {p.name: p.read_bytes() for p in bundle.iterdir()}
         with pytest.raises(FormatError, match=f"not a bundle: .* in {odd}; refusing"):
@@ -543,30 +540,27 @@ class TestBundleRoundTrip:
 
     def test_array_tamper_detected(self, tmp_path):
         _, clus, fact = make_factorization(seed=8)
-        for layout, save in LAYOUTS.items():
-            bundle = tmp_path / layout
-            save(fact, bundle, cost=clus.cost)
-            edit_v(bundle, fact, 0, lambda v: v.fill(0.5))
-            with pytest.raises(FormatError, match="invariant|orthonormal"):
-                load_bundle(bundle)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        edit_v(bundle, fact, 0, lambda v: v.fill(0.5))
+        with pytest.raises(FormatError, match="invariant|orthonormal"):
+            load_bundle(bundle)
 
     def test_nan_in_basis_rejected(self, tmp_path):
         _, clus, fact = make_factorization(seed=8)
-        for layout, save in LAYOUTS.items():
-            bundle = tmp_path / layout
-            save(fact, bundle, cost=clus.cost)
-            edit_v(bundle, fact, 0, nan_first)
-            with pytest.raises(FormatError, match="orthonormal"):
-                load_bundle(bundle)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        edit_v(bundle, fact, 0, nan_first)
+        with pytest.raises(FormatError, match="orthonormal"):
+            load_bundle(bundle)
 
     def test_bad_basis_names_the_file(self, tmp_path):
         _, clus, fact = make_factorization(seed=8)
-        for layout, save in LAYOUTS.items():
-            bundle = tmp_path / layout
-            save(fact, bundle, cost=clus.cost)
-            name = edit_v(bundle, fact, 1, nan_first)
-            with pytest.raises(FormatError, match=f"{name}: block 1 .*orthonormal"):
-                load_bundle(bundle)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        edit_v(bundle, fact, 1, nan_first)
+        with pytest.raises(FormatError, match="v_stacked.npy: block 1 .*orthonormal"):
+            load_bundle(bundle)
 
     @pytest.mark.parametrize("tamper", [
         lambda a, k: np.where(a == a[0], k, a),  # an id equal to k
@@ -582,11 +576,7 @@ class TestBundleRoundTrip:
         with pytest.raises(FormatError, match="assignment.npy: "):
             load_bundle(bundle)
 
-    # u_c.npy / v_c.npy are format-1 files, values.npy / v_stacked.npy format-2 ones.
     @pytest.mark.parametrize("name, tamper, match", [
-        ("u_1.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), "data truncated"),
-        ("v_0.npy", lambda path: path.write_bytes(path.read_bytes() + b"\x00"), "trailing bytes"),
-        ("u_0.npy", lambda path: mio._write_npy(path, np.load(path)[:-1], "<f8"), "meta implies"),
         ("values.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), "data truncated"),
         ("v_stacked.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]),
          "data truncated"),
@@ -603,8 +593,7 @@ class TestBundleRoundTrip:
         _, clus, fact = make_factorization(seed=15)
         assert min(fact.block_sizes()) > 0
         bundle = tmp_path / "b"
-        save = save_bundle if name in ("values.npy", "v_stacked.npy") else save_bundle_v1
-        save(fact, bundle, cost=clus.cost)
+        save_bundle(fact, bundle, cost=clus.cost)
         tamper(bundle / name)
         with pytest.raises(FormatError, match=f"{name}: .*{match}"):
             load_bundle(bundle)
@@ -612,26 +601,24 @@ class TestBundleRoundTrip:
     @pytest.mark.parametrize("key, value", [("d", 10**13), ("dims", [10**20, 2])])
     def test_meta_implying_huge_arrays_rejected(self, tmp_path, key, value):
         # Every header is checked against meta's shapes before any buffer is
-        # allocated, so the refusal names the first file at fault in either layout.
-        at_fault = {"d": ("v_stacked.npy", "v_0.npy"), "dims": ("values.npy", "u_0.npy")}[key]
+        # allocated, so the refusal names the file at fault.
+        name = {"d": "v_stacked.npy", "dims": "values.npy"}[key]
         _, clus, fact = make_factorization(seed=16)
-        for layout, name in zip(LAYOUTS, at_fault):
-            bundle = tmp_path / layout
-            LAYOUTS[layout](fact, bundle, cost=clus.cost)
-            meta = json.loads((bundle / "meta.json").read_text())
-            meta[key] = value
-            (bundle / "meta.json").write_text(json.dumps(meta))
-            with pytest.raises(FormatError, match=rf"{layout}/{name}: has shape .*, meta implies"):
-                load_bundle(bundle)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        meta = json.loads((bundle / "meta.json").read_text())
+        meta[key] = value
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=rf"b/{name}: has shape .*, meta implies"):
+            load_bundle(bundle)
 
     def test_missing_array_file(self, tmp_path):
         _, clus, fact = make_factorization(seed=11)
-        for (layout, save), name in zip(LAYOUTS.items(), ("values.npy", "u_1.npy")):
-            bundle = tmp_path / layout
-            save(fact, bundle, cost=clus.cost)
-            (bundle / name).unlink()
-            with pytest.raises(FormatError, match=name):
-                load_bundle(bundle)
+        bundle = tmp_path / "b"
+        save_bundle(fact, bundle, cost=clus.cost)
+        (bundle / "values.npy").unlink()
+        with pytest.raises(FormatError, match="values.npy"):
+            load_bundle(bundle)
 
     def test_missing_meta_key(self, tmp_path):
         _, clus, fact = make_factorization(seed=9)

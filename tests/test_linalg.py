@@ -1,5 +1,7 @@
 """Tests for the linear-algebra substrate."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,22 @@ class TestBestFitSubspace:
             best_fit_subspace(pts, 2)
         assert best_fit_subspace(pts, 2, np.arange(CHUNK_ROWS)).dim == 2
         assert best_fit_subspace(pts, 2, []).dim == 2  # an empty list gathers no row
+
+    @pytest.mark.parametrize("row", [CHUNK_ROWS - 1, CHUNK_ROWS], ids=["last-of-0", "first-of-1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
+    def test_nonfinite_gram_rejected_at_a_chunk_boundary(self, row, value):
+        # 1e160 is finite, but its square overflows: the Gram is checked, not the rows.
+        pts = self.planted(2 * CHUNK_ROWS, 45)
+        pts[row, 7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="non-finite entries, or entries whose squares"):
+                best_fit_subspace(pts, 3, np.arange(pts.shape[0]))  # id row is at position row
+            with pytest.raises(InputError):
+                best_fit_subspace(pts, 3)
+            outside = np.delete(np.arange(pts.shape[0]), row)
+            got = best_fit_subspace(pts, 3, outside)
+        assert got.basis.tobytes() == best_fit_subspace(pts[outside], 3).basis.tobytes()
 
     @pytest.mark.parametrize("rows", [
         [0, 10], [-1, 2], [[0, 1]], [0.5, 1.7, 2.2], np.array([True, False, True]), np.int64(1),
